@@ -23,8 +23,9 @@ Four evaluation modes:
   depends only on distance), the forward and backward sums of Eq. 4 are
   2-D convolutions of the noise distribution with a radial kernel over the
   grid lattice, evaluated with FFT convolution.  Exact at lattice level
-  (agrees with ``"dense"`` to FFT round-off) and much faster on large
-  grids.
+  (agrees with ``"dense"`` to FFT round-off; outputs at the transform's
+  round-off floor read as zero, so a bridge that underflows in ``"dense"``
+  takes the same fallback here) and much faster on large grids.
 * ``"auto"`` (default) — ``"fft"`` when the transition model is isotropic,
   else ``"pruned"``.
 
@@ -36,23 +37,28 @@ Batched evaluation
 Queries are grouped by the pair of observations bracketing them, and each
 group is evaluated in a single vectorized pass:
 
-* FFT mode embeds every transition kernel onto one fixed per-estimator
-  canvas (sized for the trajectory's largest observation gap), so each
-  noise plane's forward FFT is computed once and reused by a *stack* of
-  kernel transforms (one batched ``rfft2``/``irfft2`` round-trip per
-  group);
+* FFT mode evaluates each segment on a *local window*: the product of
+  Eq. 4 vanishes outside the intersection of the two observations' noise
+  bounding boxes, each grown by the segment's full-gap kernel span.  Each
+  observation's bounding-box plane is transformed once per transform
+  shape, the kernels of both sides of the whole batch share one stacked
+  ``rfft2``/``irfft2`` round-trip, and normalize/sparsify run over the
+  whole ``(batch, window)`` array at once;
 * pruned/dense mode builds the candidate set union and both distance
   matrices once per segment and slices them per query.
 
-Both single-query paths delegate to the same batched cores, so ``stp(t)``
-and ``stp_batch([.., t, ..])`` return identical results.  Kernels, noise
-planes and their transforms are memoized in bounded LRU caches (see
+``stp(t)`` is ``stp_batch([t])``, and a time's result is the same
+whatever other times share its batch: every shape a query meets is fixed
+by its segment and its own ``t``.  Kernels, noise planes, their
+transforms and segment windows are memoized in bounded LRU caches (see
 ``cache_size``), so long-lived estimators serving many queries stay fast
 without growing memory unboundedly.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from time import perf_counter
 
 import numpy as np
@@ -77,6 +83,11 @@ _EMPTY: SparseDistribution = (np.empty(0, dtype=int), np.empty(0))
 
 #: Normalized probabilities below this are dropped from sparse results.
 _SPARSE_EPS = 1e-15
+
+#: FFT-convolution outputs at or below this fraction of the kernel's peak
+#: are round-off, not probability, and read as zero (see
+#: ``TrajectorySTP._windowed_planes``).
+_FFT_FLOOR = 1e-13
 
 
 def _dt_key(dt: float) -> float:
@@ -114,9 +125,10 @@ class TrajectorySTP:
         ``0`` disables all memoization (every query recomputes from
         scratch — useful for benchmarking the cold path).
     registry:
-        Metrics registry receiving stage timings, FFT canvas-reuse
-        counters and (at snapshot time) cache statistics.  Defaults to
-        the process-wide registry; a no-op registry when ``REPRO_OBS=off``.
+        Metrics registry receiving stage timings, plane-FFT reuse and
+        fallback counters and (at snapshot time) cache statistics.
+        Defaults to the process-wide registry; a no-op registry when
+        ``REPRO_OBS=off``.
     cache_collector:
         When ``True`` (default) the estimator registers its own
         snapshot-time cache collector.  An owning :class:`~.sts.STS`
@@ -176,10 +188,10 @@ class TrajectorySTP:
             lambda frac, floor: 0 if cache_size == 0 else max(floor, cache_size // frac)
         )
         self._cache = LRUCache(cache_size)  # query time -> SparseDistribution
-        self._kernel_cache = LRUCache(scaled(8, 64))  # (dt, span) -> kernel
-        self._plane_cache = LRUCache(scaled(16, 16))  # obs index -> dense plane
+        self._kernel_cache = LRUCache(scaled(8, 64))  # dt -> kernel
+        self._plane_cache = LRUCache(scaled(16, 16))  # obs index -> bounding-box plane
         self._plane_fft_cache = LRUCache(scaled(16, 16))  # (idx, shape) -> rfft2
-        self._segment_cache = LRUCache(scaled(16, 16))  # dense-mode geometry
+        self._segment_cache = LRUCache(scaled(16, 16))  # fft windows, dense distances
 
     # ------------------------------------------------------------------
     def _init_obs(self, registry=None) -> None:
@@ -206,8 +218,12 @@ class TrajectorySTP:
         ).child()
         self._m_canvas_reuse = reg.counter(
             "repro_fft_canvas_reuse_total",
-            "Noise-plane FFTs served from the fixed-canvas cache",
+            "Noise-plane FFTs served from the plane-transform cache",
         ).child()
+        self._m_fallback = reg.counter(
+            "repro_stp_fallback_total",
+            "Eq. 4 bridges that underflowed to the linear-interpolation fallback",
+        ).child(mode=self._resolved_mode)
         if getattr(self, "_cache_collector", True):
             reg.register_collector(self._collect_cache_samples)
 
@@ -242,51 +258,59 @@ class TrajectorySTP:
         Returns ``(cells, probs)`` with ``probs`` summing to 1, or two empty
         arrays when ``t`` lies outside the trajectory's time span.
         """
-        t = float(t)
-        cached = self._cache.get(t)
-        if cached is not None:
-            return cached
-        result = self._compute(t)
-        self._cache.put(t, result)
-        return result
+        return self.stp_batch((t,))[0]
 
     def stp_batch(self, times) -> list[SparseDistribution]:
         """Eq. 5 at many query times in one vectorized pass.
 
         ``times`` is any 1-D sequence of timestamps (duplicates allowed).
         Returns one :data:`SparseDistribution` per input time, in input
-        order, identical to calling :meth:`stp` per time — but queries that
-        share a bracketing segment are evaluated together, reusing one
-        kernel canvas / candidate union per segment (see module docstring).
+        order.  Queries that share a bracketing segment are evaluated
+        together, in one pass per segment (see module docstring), and each
+        result is the same as that time evaluated alone.  One
+        ``searchsorted`` sorts every time into outside-span, observed or
+        bridged; only bridged times consult the result cache.
         """
         times_arr = np.asarray(times, dtype=float).ravel()
-        results: list[SparseDistribution | None] = [None] * len(times_arr)
-        by_segment: dict[int, list[int]] = {}
-        traj = self.trajectory
-        for i, raw in enumerate(times_arr):
-            t = float(raw)
-            cached = self._cache.get(t)
-            if cached is not None:
+        results: list[SparseDistribution] = [_EMPTY] * len(times_arr)
+        if not times_arr.size:
+            return results
+        stamps = self.trajectory.timestamps
+        pos = np.searchsorted(stamps, times_arr)
+        inside = (times_arr >= stamps[0]) & (times_arr <= stamps[-1])
+        observed = inside & (stamps[np.minimum(pos, len(stamps) - 1)] == times_arr)
+        obs_at = np.flatnonzero(observed)
+        for i, k in zip(obs_at.tolist(), pos[obs_at].tolist()):
+            results[i] = self._observed[k]
+        cache = self._cache
+        missing = []
+        bridged = np.flatnonzero(inside & ~observed)
+        for i, t in zip(bridged.tolist(), times_arr[bridged].tolist()):
+            cached = cache.get(t)
+            if cached is None:
+                missing.append(i)
+            else:
                 results[i] = cached
-                continue
-            if not traj.covers_time(t):
-                results[i] = _EMPTY
-                continue
-            idx = traj.index_of_time(t)
-            if idx is not None:
-                results[i] = self._observed[idx]
-                continue
-            lo, _hi = traj.bracketing_indices(t)  # type: ignore[misc]
-            by_segment.setdefault(lo, []).append(i)
-        for lo, positions in by_segment.items():
-            ts = times_arr[positions]
-            uniq, inverse = np.unique(ts, return_inverse=True)
-            computed = self._segment_batch(lo, lo + 1, uniq)
-            for j, pos in enumerate(positions):
-                result = computed[inverse[j]]
-                results[pos] = result
-                self._cache.put(float(ts[j]), result)
-        return results  # type: ignore[return-value]
+        if not missing:
+            return results
+        miss = np.array(missing)
+        miss = miss[np.lexsort((times_arr[miss], pos[miss]))]
+        ts = times_arr[miss]
+        his = pos[miss]
+        # Sorted, so each distinct time starts a run; runs group by segment.
+        first = np.ones(len(ts), dtype=bool)
+        first[1:] = ts[1:] != ts[:-1]
+        uniq, uniq_his = ts[first], his[first]
+        bounds = [0, *(np.flatnonzero(np.diff(uniq_his)) + 1).tolist(), len(uniq)]
+        computed: list[SparseDistribution] = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            hi = int(uniq_his[a])
+            computed.extend(self._segment_batch(hi - 1, hi, uniq[a:b]))
+        for t, result in zip(uniq.tolist(), computed):
+            cache.put(t, result)
+        for i, j in zip(miss.tolist(), (np.cumsum(first) - 1).tolist()):
+            results[i] = computed[j]
+        return results
 
     def stp_dense(self, t: float) -> np.ndarray:
         """Eq. 5 as a dense ``|R|``-vector (zeros outside the span)."""
@@ -341,16 +365,6 @@ class TrajectorySTP:
         self._segment_cache.clear()
 
     # ------------------------------------------------------------------
-    def _compute(self, t: float) -> SparseDistribution:
-        traj = self.trajectory
-        if not traj.covers_time(t):
-            return _EMPTY
-        idx = traj.index_of_time(t)
-        if idx is not None:
-            return self._observed[idx]
-        lo, hi = traj.bracketing_indices(t)  # type: ignore[misc]
-        return self._segment_batch(lo, hi, np.array([t]))[0]
-
     def _segment_batch(self, lo: int, hi: int, ts: np.ndarray) -> list[SparseDistribution]:
         """All interpolation queries of one segment, in one pass."""
         t0 = perf_counter()
@@ -477,165 +491,190 @@ class TrajectorySTP:
     def _interpolate_fft_batch(
         self, lo: int, hi: int, ts: np.ndarray
     ) -> list[SparseDistribution]:
-        """Eq. 4 via 2-D convolution over the grid lattice.
+        """Eq. 4 via 2-D convolution, evaluated on the segment's window.
 
         With an isotropic transition model, ``forward = f_lo ⊛ K_{dt1}``
         and ``backward = f_hi ⊛ K_{dt2}`` where ``K_dt`` is the radial
-        kernel of transition weights between cell offsets.  Equivalent to
-        the dense mode up to FFT round-off.
-
-        Kernel canvases are *bucketed*: each query's kernel is drawn on the
-        smallest canvas from a geometric size series covering its own
-        transition radius, so kernels are cheap to build and cacheable,
-        while each query's canvas depends only on its own ``dt`` — which
-        keeps single-query and batched evaluation bitwise identical.  All
-        kernels of a batch are then embedded on the estimator's fixed
-        convolution canvas and transformed as one stack (see
-        :meth:`_convolved_planes`).
+        kernel of transition weights between cell offsets.  Their product
+        is zero outside the segment window (see :meth:`_segment_window`),
+        so both convolutions are evaluated only there, and the
+        normalization, ``1e-15`` sparsification and cell lookup run over
+        the whole ``(batch, window)`` array at once.  Every shape involved
+        is fixed by the segment, and each row's reductions see only that
+        row, so a query's result does not depend on which other times
+        share the batch.
         """
         traj = self.trajectory
         p_lo, p_hi = traj[lo], traj[hi]
-        dts1 = ts - p_lo.t
-        dts2 = p_hi.t - ts
+        window = self._segment_window(lo)
+        if window is None:  # disjoint supports: every product is zero
+            return [self._fallback(float(t), p_lo, p_hi) for t in ts]
         t0 = perf_counter()
-        forward = self._convolved_planes(lo, dts1)
-        backward = self._convolved_planes(hi, dts2)
+        forward, backward = self._windowed_planes(lo, ts - p_lo.t, p_hi.t - ts, window)
         t1 = perf_counter()
         self._t_kernel.inc(t1 - t0)
+        unnorm = (forward * backward).reshape(len(ts), -1)
+        totals = unnorm.sum(axis=1)
+        ok = (totals > 0.0) & np.isfinite(totals)
+        probs = unnorm / np.where(ok, totals, 1.0)[:, None]
+        keep = probs > _SPARSE_EPS
+        keep[~ok] = False
+        kept = np.where(keep, probs, 0.0).sum(axis=1)
+        ok &= kept > 0.0
+        probs /= np.where(ok, kept, 1.0)[:, None]
+        cells = window[-1]
+        rows, cols = np.nonzero(keep)
+        kept_cells = cells[cols]
+        kept_probs = probs[rows, cols]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
         results: list[SparseDistribution] = []
-        for i in range(len(ts)):
-            unnorm = (forward[i] * backward[i]).ravel()
-            np.clip(unnorm, 0.0, None, out=unnorm)
-            total = float(unnorm.sum())
-            if total <= 0.0 or not np.isfinite(total):
+        start = 0
+        for i, end in enumerate(ends):
+            if ok[i]:
+                results.append((kept_cells[start:end], kept_probs[start:end]))
+            else:
                 results.append(self._fallback(float(ts[i]), p_lo, p_hi))
-                continue
-            probs = unnorm / total
-            cells = np.nonzero(probs > _SPARSE_EPS)[0]
-            if cells.size == 0:
-                results.append(self._fallback(float(ts[i]), p_lo, p_hi))
-                continue
-            kept = probs[cells]
-            results.append((cells, kept / kept.sum()))
+            start = end
         self._t_norm.inc(perf_counter() - t1)
         return results
 
-    def _convolved_planes(self, index: int, dts: np.ndarray) -> np.ndarray:
-        """Noise plane ``index`` convolved with the kernel of each ``dt``.
+    def _segment_window(self, lo: int):
+        """Where segment ``(lo, lo + 1)``'s Eq. 4 product can be non-zero.
 
-        Returns a ``(len(dts), n_rows, n_cols)`` stack (the "same"-mode
-        convolution window).  Queries are grouped by kernel-canvas bucket;
-        each group multiplies the cached plane FFT by one stacked kernel
-        transform.
+        Every query of the segment has ``dt ≤`` the segment's gap, so its
+        kernel fits within the gap kernel's half-extents ``(h_r, h_c)``;
+        ``forward`` then vanishes outside the earlier observation's noise
+        bounding box grown by ``h``, ``backward`` outside the later one's,
+        and the product outside their intersection (clipped to the grid).
 
-        Every kernel is embedded (centered) on one fixed per-estimator
-        canvas sized for the trajectory's *largest* inter-observation gap —
-        the largest ``dt`` any in-segment query can present — so a *single*
-        circular transform shape serves every query: each noise plane's
-        forward FFT is computed exactly once per estimator, and a whole
-        batch becomes one stacked ``rfft2``/``irfft2`` round-trip.
+        Each side's plane is the observation's bounding box ``[b0, b1)``
+        (per axis); its full linear convolution with a ``2h + 1`` kernel
+        has support ``[0, S)``, ``S = b1 - b0 + 2h``, index ``k`` landing
+        on grid row ``b0 - h + k``.  A circular transform of size ``M``
+        aliases ``k`` onto ``k ± M``, so the window's slice ``[k0, k1)``
+        stays alias-free iff ``M ≥ max(S - k0, k1)``.  Both sides share
+        the larger size, so one stacked round-trip serves the segment;
+        since the window lies inside the grid, ``M`` never exceeds the
+        whole-grid ``n + h``.
 
-        The circular transforms are sized ``n + half`` per axis, not the
-        full linear-convolution length ``n + 2·half``: the full convolution
-        of an ``n``-point plane with a ``2·half + 1`` kernel has support
-        ``[0, n + 2·half)``, and the "same" window we keep is
-        ``[half, half + n)``.  With circular size ``M ≥ n + half``, the
-        aliases of any kept index ``k`` land at ``k ± M`` — below 0 or at
-        least ``n + 2·half`` — i.e. outside the support, so the window is
-        alias-free while the transforms stay at ~``2n`` instead of ~``3n``
-        per axis.
+        Returns ``None`` when the window is empty, else ``((h_r, h_c),
+        fft_shape, slices_lo, slices_hi, cells)`` with ``cells`` the
+        window's flat cell ids in row-major (sorted) order.  Memoized per
+        segment.
+        """
+
+        def build():
+            traj = self.trajectory
+            grid = self.grid
+            halves = self._kernel_halves(_dt_key(traj[lo + 1].t - traj[lo].t))
+            boxes = (self._noise_plane(lo)[1], self._noise_plane(lo + 1)[1])
+            fft_shape, slices, ranges = [], ([], []), []
+            for axis, n, h in ((0, grid.n_rows, halves[0]), (1, grid.n_cols, halves[1])):
+                spans = [box[2 * axis : 2 * axis + 2] for box in boxes]
+                w0 = max(spans[0][0], spans[1][0], h) - h
+                w1 = min(spans[0][1], spans[1][1], n - h) + h
+                if w0 >= w1:
+                    return None
+                size = 0
+                for (b0, b1), side in zip(spans, slices):
+                    k0, k1 = w0 - b0 + h, w1 - b0 + h
+                    size = max(size, b1 - b0 + 2 * h - k0, k1)
+                    side.append(slice(k0, k1))
+                fft_shape.append(_fft.next_fast_len(size, True))
+                ranges.append(np.arange(w0, w1))
+            cells = (ranges[0][:, None] * grid.n_cols + ranges[1][None, :]).ravel()
+            return halves, tuple(fft_shape), tuple(slices[0]), tuple(slices[1]), cells
+
+        return self._segment_cache.get_or_compute(("window", lo), build)
+
+    def _windowed_planes(
+        self, lo: int, dts1: np.ndarray, dts2: np.ndarray, window
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Forward and backward sums of Eq. 4 for each query, on the window.
+
+        Each query's kernel is drawn on its own bucketed canvas
+        (:meth:`_radial_kernel`) and centered on the segment's
+        ``(2h_r + 1, 2h_c + 1)`` canvas, so both sides of the whole batch
+        are one stacked ``rfft2``/``irfft2`` round-trip against the two
+        planes' cached transforms.  Outputs at or below the transform's
+        round-off floor — ``_FFT_FLOOR`` times the kernel's peak, which
+        bounds every exact output since a plane sums to 1 — are set to
+        zero: there the exact convolution is zero or below what the
+        transform resolves, and keeping the noise would spread a bridge
+        that underflows in ``dense`` mode over arbitrary cells instead of
+        taking the fallback.
+        """
+        (h_r, h_c), fft_shape, slices_lo, slices_hi, _cells = window
+        stack = np.zeros((2, len(dts1), 2 * h_r + 1, 2 * h_c + 1))
+        for side, dts in enumerate((dts1, dts2)):
+            for i, dt in enumerate(dts.tolist()):
+                kernel = self._radial_kernel(dt)
+                q_r, q_c = kernel.shape[0] // 2, kernel.shape[1] // 2
+                stack[side, i, h_r - q_r : h_r + q_r + 1, h_c - q_c : h_c + q_c + 1] = kernel
+        floors = _FFT_FLOOR * stack.max(axis=(2, 3))[:, :, None, None]
+        spectra = _fft.rfft2(stack, s=fft_shape)
+        spectra[0] *= self._plane_fft(lo, fft_shape)
+        spectra[1] *= self._plane_fft(lo + 1, fft_shape)
+        conv = _fft.irfft2(spectra, s=fft_shape)
+        forward = conv[(0, slice(None), *slices_lo)]
+        backward = conv[(1, slice(None), *slices_hi)]
+        return (
+            np.where(forward > floors[0], forward, 0.0),
+            np.where(backward > floors[1], backward, 0.0),
+        )
+
+    def _kernel_halves(self, dt: float) -> tuple[int, int]:
+        """Kernel half-extents (rows, cols) for a time gap, clipped to the grid.
+
+        The natural half-extent covering the transition radius is rounded
+        up to a geometric bucket series (1, 2, 3, 5, 8, 12, ...), so only a
+        handful of kernel canvases — and cached distance lattices — exist
+        per grid.  Callers pass the quantized gap (:func:`_dt_key`), so
+        the extent is a function of the kernel's cache key and never
+        shrinks as the gap grows.
         """
         grid = self.grid
-        n_rows, n_cols = grid.n_rows, grid.n_cols
-        model = self.transition_model
-        cell = grid.cell_size
-        radii = np.array([model.reachable_radius(float(d)) for d in dts])
-        spans = np.ceil(radii / cell).astype(np.int64) + 1
+        span = math.ceil(self.transition_model.reachable_radius(dt) / grid.cell_size) + 1
         series = self._span_buckets()
-        buckets = series[np.minimum(np.searchsorted(series, spans), series.size - 1)]
-        rows_halves = np.minimum(n_rows - 1, buckets)
-        cols_halves = np.minimum(n_cols - 1, buckets)
-        half_r, half_c, fft_shape = self._fft_geometry()
-        plane_fft = self._plane_fft(index, fft_shape)
-        stack = np.zeros((len(dts), 2 * half_r + 1, 2 * half_c + 1))
-        for i in range(len(dts)):
-            h_r, h_c = int(rows_halves[i]), int(cols_halves[i])
-            kernel = self._radial_kernel(float(dts[i]), h_r, h_c)
-            stack[i, half_r - h_r : half_r + h_r + 1, half_c - h_c : half_c + h_c + 1] = kernel
-        conv = _fft.irfft2(_fft.rfft2(stack, s=fft_shape) * plane_fft, s=fft_shape)
-        return conv[:, half_r : half_r + n_rows, half_c : half_c + n_cols]
+        bucket = series[min(bisect_left(series, span), len(series) - 1)]
+        return min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
 
-    def _fft_geometry(self) -> tuple[int, int, tuple[int, int]]:
-        """Fixed canvas half-extents and circular-transform shape.
-
-        The canvas is sized for the transition radius of the trajectory's
-        largest gap between consecutive observations — no in-segment query
-        can have a larger ``dt``, so every kernel fits (clipped to the grid,
-        like everything else, at worst).
-        """
-        geom = getattr(self, "_fft_geometry_cached", None)
-        if geom is None:
-            grid = self.grid
-            gaps = np.diff(self.trajectory.timestamps)
-            max_gap = float(gaps.max()) if gaps.size else 0.0
-            radius = self.transition_model.reachable_radius(max_gap)
-            span = int(np.ceil(radius / grid.cell_size)) + 1
-            series = self._span_buckets()
-            bucket = int(series[min(int(np.searchsorted(series, span)), series.size - 1)])
-            half_r = min(grid.n_rows - 1, bucket)
-            half_c = min(grid.n_cols - 1, bucket)
-            geom = self._fft_geometry_cached = (
-                half_r,
-                half_c,
-                (
-                    _fft.next_fast_len(grid.n_rows + half_r, True),
-                    _fft.next_fast_len(grid.n_cols + half_c, True),
-                ),
-            )
-        return geom
-
-    def _span_buckets(self) -> np.ndarray:
-        """Ascending canvas-size bucket series covering the grid."""
+    def _span_buckets(self) -> list[int]:
+        """Ascending kernel half-extent bucket series covering the grid."""
         series = getattr(self, "_span_bucket_series", None)
         if series is None:
             top = max(self.grid.n_rows, self.grid.n_cols)
-            vals = [1]
-            while vals[-1] < top:
-                vals.append(max(vals[-1] + 1, (vals[-1] * 3 + 1) // 2))
-            series = self._span_bucket_series = np.array(vals, dtype=np.int64)
+            series = [1]
+            while series[-1] < top:
+                series.append(max(series[-1] + 1, (series[-1] * 3 + 1) // 2))
+            self._span_bucket_series = series
         return series
 
-    def _kernel_span(self, radius: float) -> tuple[int, int]:
-        """Half-extent (rows, cols) of the kernel canvas covering ``radius``.
+    def _noise_plane(self, index: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+        """Observation ``index``'s noise distribution on its bounding box.
 
-        The natural half-extent is rounded up to a geometric bucket series
-        (1, 2, 3, 5, 8, 12, ...) so that only a handful of distinct canvas
-        shapes — and therefore cached plane FFTs — exist per grid.
+        Returns the dense plane and its box ``(row0, row1, col0, col1)``
+        (half-open) on the grid.
         """
-        grid = self.grid
-        span = int(np.ceil(radius / grid.cell_size)) + 1
-        series = self._span_buckets()
-        bucket = int(series[min(int(np.searchsorted(series, span)), series.size - 1)])
-        return min(grid.n_rows - 1, bucket), min(grid.n_cols - 1, bucket)
 
-    def _dense_plane(self, index: int) -> np.ndarray:
-        """Observation ``index``'s noise distribution as a 2-D grid plane."""
-
-        def build() -> np.ndarray:
+        def build():
             cells, probs = self._observed[index]
-            plane = np.zeros((self.grid.n_rows, self.grid.n_cols))
-            plane[cells // self.grid.n_cols, cells % self.grid.n_cols] = probs
-            return plane
+            rows = cells // self.grid.n_cols
+            cols = cells % self.grid.n_cols
+            r0, c0 = int(rows.min()), int(cols.min())
+            plane = np.zeros((int(rows.max()) - r0 + 1, int(cols.max()) - c0 + 1))
+            plane[rows - r0, cols - c0] = probs
+            return plane, (r0, r0 + plane.shape[0], c0, c0 + plane.shape[1])
 
         return self._plane_cache.get_or_compute(index, build)
 
     def _plane_fft(self, index: int, fft_shape: tuple[int, int]) -> np.ndarray:
-        """Forward real FFT of observation ``index``'s noise plane."""
+        """Forward real FFT of observation ``index``'s bounding-box plane."""
         cached = self._plane_fft_cache.get((index, fft_shape))
         if cached is not None:
             self._m_canvas_reuse.inc()
             return cached
-        value = _fft.rfft2(self._dense_plane(index), s=fft_shape)
+        value = _fft.rfft2(self._noise_plane(index)[0], s=fft_shape)
         self._plane_fft_cache.put((index, fft_shape), value)
         self._m_plane_transforms.inc()
         return value
@@ -660,12 +699,12 @@ class TrajectorySTP:
 
         return self._kernel_cache.get_or_compute(("lattice", rows_half, cols_half), build)
 
-    def _radial_kernel(self, dt: float, rows_half: int, cols_half: int) -> np.ndarray:
+    def _radial_kernel(self, dt: float) -> np.ndarray:
         """Transition weights between cell offsets, as an odd-sized kernel.
 
-        ``rows_half``/``cols_half`` fix the canvas (the segment-level
-        full-gap extent), so kernels for every ``dt`` within a segment
-        share one shape.  Memoized by quantized ``(dt, canvas)``.
+        The canvas is the bucketed extent of this ``dt``'s own transition
+        radius (:meth:`_kernel_halves`), so a kernel depends on its ``dt``
+        alone.  Memoized by quantized ``dt``.
 
         The canvas holds far fewer *distinct* distances than points (the
         lattice is 8-fold symmetric), so the transition model is evaluated
@@ -673,17 +712,16 @@ class TrajectorySTP:
         unique set is large enough (> 64) to take the same vectorized path
         a full-canvas evaluation would, keeping results bitwise identical.
         """
+        key = _dt_key(dt)
 
         def build() -> np.ndarray:
-            dist, unique, inverse = self._canvas_lattice(rows_half, cols_half)
+            dist, unique, inverse = self._canvas_lattice(*self._kernel_halves(key))
             if unique.size > 64:
                 weights = self.transition_model.distance_weights(unique, dt)
                 return weights[inverse].reshape(dist.shape)
             return self.transition_model.distance_weights(dist, dt)
 
-        return self._kernel_cache.get_or_compute(
-            (_dt_key(dt), rows_half, cols_half), build
-        )
+        return self._kernel_cache.get_or_compute(key, build)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -704,8 +742,9 @@ class TrajectorySTP:
         downsampling of a single long gap), Eq. 4 is 0/0.  We resolve it by
         placing the mass at the time-weighted linear interpolation between
         the two bracketing observations, the least-informative consistent
-        answer.
+        answer.  Each use counts in ``repro_stp_fallback_total{mode}``.
         """
+        self._m_fallback.inc()
         span = p_hi.t - p_lo.t
         w = (t - p_lo.t) / span if span > 0 else 0.5
         x = p_lo.x + w * (p_hi.x - p_lo.x)
@@ -720,7 +759,7 @@ class TrajectorySTP:
         for key in (
             "_registry", "_t_noise", "_t_bridge", "_t_kernel", "_t_norm",
             "_t_coloc_resolve", "_t_coloc_inner",
-            "_m_plane_transforms", "_m_canvas_reuse",
+            "_m_plane_transforms", "_m_canvas_reuse", "_m_fallback",
         ):
             state.pop(key, None)
         return state

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import DegenerateTrajectoryError
 from ..obs import get_registry, trace_span
 from .cache import LRUCache
-from .colocation import colocation_batch
+from .colocation import colocation_batch, sparse_inner
 from .grid import Grid
 from .noise import DeterministicNoiseModel, GaussianNoiseModel, NoiseModel
 from .speed import GaussianSpeedModel, KDESpeedModel
@@ -387,7 +387,7 @@ class STS:
             everything = list(gallery) if queries is None else list(gallery) + list(queries)
             with trace_span("sts.prewarm"):
                 t0 = perf_counter()
-                self._prewarm(everything)
+                resolved = self._prewarm(everything)
                 self._t_prewarm.inc(perf_counter() - t0)
             t0 = perf_counter()
             with trace_span("sts.pair-loop"):
@@ -396,39 +396,51 @@ class STS:
                     out = np.zeros((n, n))
                     for i in range(n):
                         for j in range(i, n):
-                            out[i, j] = out[j, i] = self.similarity(gallery[i], gallery[j])
+                            out[i, j] = out[j, i] = _pair_score(
+                                resolved[id(gallery[i])], resolved[id(gallery[j])]
+                            )
+                    pairs = n * (n + 1) // 2
                 else:
                     out = np.zeros((len(queries), len(gallery)))
                     for i, q in enumerate(queries):
                         for j, g in enumerate(gallery):
-                            out[i, j] = self.similarity(q, g)
+                            out[i, j] = _pair_score(resolved[id(q)], resolved[id(g)])
+                    pairs = out.size
+                self._m_calls.inc(pairs)
             self._t_pairloop.inc(perf_counter() - t0)
         self._h_pairwise.observe(perf_counter() - t_start)
         return out
 
-    def _prewarm(self, trajectories: Sequence[Trajectory]) -> None:
-        """Resolve every STP query the pairwise loop will make, batched.
+    def _prewarm(self, trajectories: Sequence[Trajectory]) -> dict[int, tuple]:
+        """Resolve every STP query the pair loop will make, once, batched.
 
         Per-pair evaluation presents each estimator with the partner's
         timestamps a handful at a time — too few per bracketing segment to
-        amortize the vectorized segment pass.  One ``stp_batch`` per
-        trajectory over the *union* of all timestamps in play turns that
-        into one pass with every query of the whole matrix, and the pair
-        loop then runs entirely off the per-query cache.  With caches
-        disabled (or too small to hold the working set) this is skipped /
-        degrades to the plain per-pair path — results are identical either
-        way, because ``stp_batch`` and ``stp`` share one evaluation core.
+        amortize the vectorized segment pass.  Instead every trajectory
+        resolves the part of the corpus time axis (the union of all
+        timestamps in play) that falls inside its own span, with one
+        ``stp_batch`` call.  Returns ``{id(trajectory): (stamps, lo, hi,
+        dists)}``: ``stamps`` are the trajectory's timestamps as positions
+        on the axis, ``[lo, hi)`` its span on the axis, and ``dists`` the
+        distributions at axis positions ``lo .. hi - 1``.  Because a
+        query's distribution depends only on the estimator and ``t``, the
+        pair loop then reproduces :meth:`similarity` bit for bit.
         """
-        if not trajectories or self.stp_cache_size == 0:
-            return
-        all_times = np.unique(np.concatenate([t.timestamps for t in trajectories]))
+        if not trajectories:
+            return {}
+        axis = np.unique(np.concatenate([t.timestamps for t in trajectories]))
+        resolved: dict[int, tuple] = {}
         for trajectory in trajectories:
-            stp = self.stp_for(trajectory)
-            inside = all_times[
-                (all_times >= trajectory.start_time) & (all_times <= trajectory.end_time)
-            ]
-            if inside.size:
-                stp.stp_batch(inside)
+            if id(trajectory) in resolved:
+                continue
+            stp = self.stp_for(trajectory)  # raises on an empty trajectory
+            stamps = trajectory.timestamps
+            lo = int(np.searchsorted(axis, stamps[0]))
+            hi = int(np.searchsorted(axis, stamps[-1], side="right"))
+            resolved[id(trajectory)] = (
+                np.searchsorted(axis, stamps).tolist(), lo, hi, stp.stp_batch(axis[lo:hi])
+            )
+        return resolved
 
     # Metric handles hold locks, which do not pickle; a measure shipped to
     # a process worker rebinds to that worker's own registry on arrival.
@@ -447,6 +459,27 @@ class STS:
 
     def __repr__(self) -> str:
         return f"<{self.name} grid={self.grid!r} noise={self.noise_model!r} mode={self.mode!r}>"
+
+
+def _pair_score(a: tuple, b: tuple) -> float:
+    """Eq. 10 for one pair from two :meth:`STS._prewarm` resolutions.
+
+    Sums the same :func:`sparse_inner` terms, in the same order, as
+    :meth:`STS.similarity` over ``concat(stamps_a, stamps_b)``; terms at
+    which either trajectory is outside its span are the exact zeros that
+    ``sparse_inner`` returns for an empty distribution.  Pairs whose spans
+    do not overlap score ``0.0`` without touching a distribution.
+    """
+    stamps_a, lo_a, hi_a, dists_a = a
+    stamps_b, lo_b, hi_b, dists_b = b
+    lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+    if lo >= hi:
+        return 0.0
+    cps = np.zeros(len(stamps_a) + len(stamps_b))
+    for n, k in enumerate(stamps_a + stamps_b):
+        if lo <= k < hi:
+            cps[n] = sparse_inner(dists_a[k - lo_a], dists_b[k - lo_b])
+    return float(cps.sum()) / len(cps)
 
 
 # ----------------------------------------------------------------------

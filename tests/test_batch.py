@@ -138,8 +138,8 @@ class TestPrewarmedPairwise:
         assert np.array_equal(matrix, expected)
 
     def test_prewarm_skipped_when_caches_disabled(self, grid, walker, companion):
-        # With stp_cache_size=0 the prewarm pass would be pure waste; the
-        # result must still be identical through the plain per-pair path.
+        # With stp_cache_size=0 nothing is memoized; the distributions the
+        # prewarm resolves for the pair loop must still give the same matrix.
         matrix = STS(grid, stp_cache_size=0).pairwise([walker, companion])
         expected = STS(grid).pairwise([walker, companion])
         assert np.allclose(matrix, expected, rtol=0, atol=0)

@@ -147,6 +147,58 @@ class TestCachingAndFallback:
         assert probs.sum() == pytest.approx(1.0)
 
 
+class TestFftRoundoffFloor:
+    """FFT round-off is not probability: an underflowing bridge must take the
+    same linear-interpolation fallback in ``fft`` mode as in ``dense``."""
+
+    @pytest.fixture
+    def taxi_grid(self):
+        return Grid(0, 0, 2600, 2600, cell_size=100.0)  # 26 x 26 cells of 100 m
+
+    @staticmethod
+    def estimators(grid, end):
+        traj = Trajectory.from_arrays([300.0, end], [300.0, end], [0.0, 30.0])
+        model = SpeedTransitionModel(KDESpeedModel([5.0, 6.0, 7.0]))
+        return {
+            mode: TrajectorySTP(traj, grid, GaussianNoiseModel(100.0), model, mode=mode)
+            for mode in ("fft", "pruned", "dense")
+        }
+
+    def test_impossible_bridge_falls_back_like_dense(self, taxi_grid):
+        # 2.8 km in 30 s against a ~10 m/s speed model: Eq. 4 is 0/0.
+        stps = self.estimators(taxi_grid, 2300.0)
+        midpoint = taxi_grid.cell_of(1300.0, 1300.0)
+        for mode, stp in stps.items():
+            cells, probs = stp.stp(15.0)
+            assert cells.tolist() == [midpoint], mode
+            assert probs.tolist() == [1.0], mode
+
+    def test_tail_bridge_keeps_dense_support(self, taxi_grid):
+        # 850 m in 30 s: only the tails of the two noise planes meet.
+        stps = self.estimators(taxi_grid, 900.0)
+        dense_cells, dense_probs = stps["dense"].stp(15.0)
+        fft_cells, fft_probs = stps["fft"].stp(15.0)
+        assert dense_cells.size == 10
+        np.testing.assert_array_equal(fft_cells, dense_cells)
+        # Small FFT kernels evaluate the KDE exactly, dense mode through its
+        # interpolation table: the masses agree to the table's accuracy.
+        np.testing.assert_allclose(fft_probs, dense_probs, atol=1e-6)
+
+    def test_fallbacks_are_counted_per_mode(self, taxi_grid):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        traj = Trajectory.from_arrays([300.0, 2300.0], [300.0, 2300.0], [0.0, 30.0])
+        model = SpeedTransitionModel(KDESpeedModel([5.0, 6.0, 7.0]))
+        for mode in ("fft", "dense"):
+            stp = TrajectorySTP(
+                traj, taxi_grid, GaussianNoiseModel(100.0), model, mode=mode, registry=registry
+            )
+            stp.stp_batch([10.0, 15.0, 20.0])
+        fallbacks = registry.snapshot()["counters"]["repro_stp_fallback_total"]
+        assert fallbacks == {'mode="fft"': 3, 'mode="dense"': 3}
+
+
 class TestCredibleCells:
     def test_mass_covered(self, grid, walker):
         stp = make_stp(walker, grid)
