@@ -1,7 +1,7 @@
 """Core STS machinery: data model, grid, noise, speed, transitions, measure."""
 
 from .cache import LRUCache
-from .colocation import colocation_batch, colocation_probability, colocation_series, sparse_inner
+from .colocation import colocation_batch, colocation_probability, sparse_inner
 from .events import ColocationEvent, colocation_timeline, detect_colocation_events
 from .grid import Grid
 from .noise import (
@@ -32,7 +32,6 @@ __all__ = [
     "TrajectorySTP",
     "colocation_probability",
     "colocation_batch",
-    "colocation_series",
     "sparse_inner",
     "LRUCache",
     "ColocationEvent",

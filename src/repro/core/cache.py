@@ -8,8 +8,9 @@ production matching service — so every memo table is an :class:`LRUCache`
 with a configurable capacity.
 
 The cache is thread-safe (a single lock around the ordered dict) because
-the thread backend of :mod:`repro.parallel` shares one measure instance —
-and therefore one set of caches — across worker threads.
+it is read off the scoring thread: the ``/metrics`` exporter
+(:class:`repro.obs.MetricsExporter`) serves registry snapshots from its
+own thread, and a snapshot walks the caches while scoring writes them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator
 
-__all__ = ["LRUCache"]
+__all__ = ["LRUCache", "cache_samples"]
 
 _MISSING = object()
 
@@ -153,3 +154,37 @@ class LRUCache:
             f"LRUCache(maxsize={self.maxsize}, len={len(self)}, "
             f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
         )
+
+
+def cache_samples(named_caches) -> list[tuple]:
+    """Registry collector samples for ``(name, cache)`` pairs.
+
+    Emits ``repro_cache_{hits,misses,evictions}_total`` counters and
+    ``repro_cache_entries``/``repro_cache_capacity`` gauges labelled
+    ``cache=<name>``.  Caches sharing a name are summed (through the
+    lock-free :meth:`LRUCache.counts`), so one collector can cover a
+    whole pool of estimators; capacity is reported only when some cache
+    of that name is bounded.
+    """
+    totals: dict[str, list] = {}
+    for name, cache in named_caches:
+        agg = totals.get(name)
+        if agg is None:
+            totals[name] = agg = [0, 0, 0, 0, None]
+        hits, misses, evictions, size = cache.counts()
+        agg[0] += hits
+        agg[1] += misses
+        agg[2] += evictions
+        agg[3] += size
+        if cache.maxsize is not None:
+            agg[4] = (agg[4] or 0) + cache.maxsize
+    samples = []
+    for name, (hits, misses, evictions, size, capacity) in totals.items():
+        labels = {"cache": name}
+        samples.append(("counter", "repro_cache_hits_total", labels, hits))
+        samples.append(("counter", "repro_cache_misses_total", labels, misses))
+        samples.append(("counter", "repro_cache_evictions_total", labels, evictions))
+        samples.append(("gauge", "repro_cache_entries", labels, size))
+        if capacity is not None:
+            samples.append(("gauge", "repro_cache_capacity", labels, capacity))
+    return samples

@@ -30,7 +30,6 @@ __all__ = [
     "sparse_inner",
     "colocation_probability",
     "colocation_batch",
-    "colocation_series",
 ]
 
 
@@ -89,10 +88,3 @@ def colocation_batch(
     stp_a._t_coloc_resolve.inc(t1 - t0)
     stp_a._t_coloc_inner.inc(perf_counter() - t1)
     return result
-
-
-def colocation_series(
-    stp_a: TrajectorySTP, stp_b: TrajectorySTP, times: np.ndarray
-) -> np.ndarray:
-    """Co-location probabilities at each of ``times``."""
-    return colocation_batch(stp_a, stp_b, np.asarray(times))

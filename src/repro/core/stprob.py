@@ -66,7 +66,7 @@ from scipy import fft as _fft
 
 from ..errors import DegenerateTrajectoryError
 from ..obs import get_registry
-from .cache import LRUCache
+from .cache import LRUCache, cache_samples
 from .grid import Grid
 from .noise import NoiseModel
 from .transition import TransitionModel
@@ -238,19 +238,7 @@ class TrajectorySTP:
 
     def _collect_cache_samples(self):
         """Snapshot-time cache samples; summed across live estimators."""
-        samples = []
-        for name, cache in self._named_caches():
-            stats = cache.stats()
-            labels = {"cache": name}
-            samples.append(("counter", "repro_cache_hits_total", labels, stats["hits"]))
-            samples.append(("counter", "repro_cache_misses_total", labels, stats["misses"]))
-            samples.append(
-                ("counter", "repro_cache_evictions_total", labels, stats["evictions"])
-            )
-            samples.append(("gauge", "repro_cache_entries", labels, stats["size"]))
-            if stats["max"] is not None:
-                samples.append(("gauge", "repro_cache_capacity", labels, stats["max"]))
-        return samples
+        return cache_samples(self._named_caches())
 
     def stp(self, t: float) -> SparseDistribution:
         """Eq. 5: sparse distribution ``STP(·, t, Tra)`` over grid cells.

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import DegenerateTrajectoryError
 from ..obs import get_registry, trace_span
-from .cache import LRUCache
+from .cache import LRUCache, cache_samples
 from .colocation import colocation_batch, sparse_inner
 from .grid import Grid
 from .noise import DeterministicNoiseModel, GaussianNoiseModel, NoiseModel
@@ -184,41 +184,10 @@ class STS:
         gallery shard.  Eviction from ``_stp_cache`` drops an estimator's
         contribution, matching the old weak-collector lifetime.
         """
-        stats = self._stp_cache.stats()
-        labels = {"cache": "sts-estimators"}
-        samples = [
-            ("counter", "repro_cache_hits_total", labels, stats["hits"]),
-            ("counter", "repro_cache_misses_total", labels, stats["misses"]),
-            ("counter", "repro_cache_evictions_total", labels, stats["evictions"]),
-            ("gauge", "repro_cache_entries", labels, stats["size"]),
-        ]
-        if stats["max"] is not None:
-            samples.append(("gauge", "repro_cache_capacity", labels, stats["max"]))
-        totals: dict[str, list] = {}
+        named = [("sts-estimators", self._stp_cache)]
         for entry in self._stp_cache.values():
-            for name, cache in entry[1]._named_caches():
-                agg = totals.get(name)
-                if agg is None:
-                    totals[name] = agg = [0, 0, 0, 0, 0, False]
-                hits, misses, evictions, size = cache.counts()
-                agg[0] += hits
-                agg[1] += misses
-                agg[2] += evictions
-                agg[3] += size
-                if cache.maxsize is not None:
-                    agg[4] += cache.maxsize
-                    agg[5] = True
-        for name, (hits, misses, evictions, size, cap, has_cap) in totals.items():
-            labels = {"cache": name}
-            samples.append(("counter", "repro_cache_hits_total", labels, hits))
-            samples.append(("counter", "repro_cache_misses_total", labels, misses))
-            samples.append(
-                ("counter", "repro_cache_evictions_total", labels, evictions)
-            )
-            samples.append(("gauge", "repro_cache_entries", labels, size))
-            if has_cap:
-                samples.append(("gauge", "repro_cache_capacity", labels, cap))
-        return samples
+            named.extend(entry[1]._named_caches())
+        return cache_samples(named)
 
     def stp_for(self, trajectory: Trajectory) -> TrajectorySTP:
         """The (cached) S-T probability estimator for ``trajectory``."""
@@ -312,11 +281,8 @@ class STS:
         gallery: Sequence[Trajectory],
         queries: Sequence[Trajectory] | None = None,
         n_jobs: int | None = None,
-        backend: str = "auto",
         checkpoint: str | None = None,
         deadline: float | None = None,
-        shm: bool | str | None = None,
-        chunking: str | None = None,
         cluster=None,
     ) -> np.ndarray:
         """Similarity matrix between two trajectory collections.
@@ -325,23 +291,17 @@ class STS:
         ``queries=None`` the matrix is ``gallery`` against itself, computed
         symmetrically (each unordered pair once).
 
-        ``n_jobs`` > 1 shards the pair list across worker processes (or
-        threads — see :class:`repro.parallel.ParallelSTS` and ``backend``);
-        ``-1`` uses every available core.  The parallel matrix matches the
-        serial one to float round-off regardless of worker count, and the
-        pool is supervised: dead/hung workers are retried and the backend
-        degrades rather than failing the run.
-
-        ``shm`` controls the corpus transport for the process backend:
-        ``"auto"`` (default) broadcasts the trajectories once through a
-        shared-memory arena instead of pickling them per worker;
-        ``False`` forces the pickling path.  ``chunking="cost"`` balances
-        chunks by estimated per-pair work instead of pair count.
+        ``n_jobs`` > 1 shards the pair list across worker processes that
+        read the corpus from one shared-memory arena (see
+        :class:`repro.parallel.ParallelSTS`); ``-1`` uses every available
+        core.  The parallel matrix matches the serial one to float
+        round-off regardless of worker count, and the pool is supervised:
+        dead/hung workers are retried and the run degrades to serial
+        rather than failing.
 
         ``checkpoint`` names a chunk journal file (atomic write-rename);
         an interrupted run pointed at the same file resumes from the last
-        completed chunk.  Resume requires the same ``n_jobs`` and
-        ``chunking``.
+        completed chunk.  Resume requires the same ``n_jobs``.
 
         ``deadline`` caps the whole call at that many wall-clock seconds;
         pairs not scored in time come back NaN (see
@@ -375,9 +335,9 @@ class STS:
         if (n_jobs is not None and n_jobs != 1) or checkpoint is not None or deadline is not None:
             from ..parallel import ParallelSTS
 
-            return ParallelSTS(
-                self, n_jobs=n_jobs, backend=backend, shm=shm, chunking=chunking
-            ).pairwise(gallery, queries, checkpoint=checkpoint, deadline=deadline)
+            return ParallelSTS(self, n_jobs=n_jobs).pairwise(
+                gallery, queries, checkpoint=checkpoint, deadline=deadline
+            )
         t_start = perf_counter()
         with trace_span(
             "sts.pairwise",

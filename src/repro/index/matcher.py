@@ -110,11 +110,6 @@ class FilteredMatcher:
         exposing the STS-style ``pairwise(..., n_jobs=...)`` entry point
         (see :class:`repro.parallel.ParallelSTS`).  ``None``/``1`` scores
         serially — still through the batched path when available.
-    shm, chunking:
-        Transport and chunk-balancing policy for parallel refine, passed
-        through to :class:`~repro.parallel.ParallelSTS` (``shm="auto"``
-        broadcasts the corpus through a shared-memory arena;
-        ``chunking="cost"`` balances chunks by estimated pair cost).
     persistent_pool:
         Keep one warm worker pool (and the gallery's shared-memory
         arena) alive across :meth:`query` calls — the serving pattern:
@@ -123,8 +118,7 @@ class FilteredMatcher:
         use the matcher as a context manager) to release the pool.
         Reuse requires the same gallery *objects* across calls; a
         different gallery transparently invalidates the warm pool and
-        re-broadcasts (or, with ``shm=False``, re-pickles) — on every
-        transport, never silently scoring the old corpus.
+        re-broadcasts, never silently scoring the old corpus.
     """
 
     def __init__(
@@ -135,8 +129,6 @@ class FilteredMatcher:
         min_time_overlap: float = 0.0,
         signature_dilation: int = 2,
         n_jobs: int | None = None,
-        shm: bool | str | None = None,
-        chunking: str | None = None,
         persistent_pool: bool = False,
         cluster=None,
         registry=None,
@@ -147,8 +139,6 @@ class FilteredMatcher:
         self.min_time_overlap = float(min_time_overlap)
         self.signature_dilation = int(signature_dilation)
         self.n_jobs = n_jobs
-        self.shm = shm
-        self.chunking = chunking
         self.persistent_pool = bool(persistent_pool)
         #: Optional :class:`~repro.cluster.ClusterService` — when set,
         #: survivor refinement is scatter-gathered across its shard
@@ -281,8 +271,6 @@ class FilteredMatcher:
         engine = ParallelSTS(
             self.measure,
             n_jobs=self.n_jobs,
-            shm=self.shm,
-            chunking=self.chunking,
             persistent=self.persistent_pool,
             registry=self._registry,
         )

@@ -61,15 +61,6 @@ def parse_label_str(label_str: str) -> dict[str, str]:
     return out
 
 
-def _relabel(label_str: str, extra: dict[str, str] | None) -> str:
-    """Canonical label string with ``extra`` labels merged in (extra wins)."""
-    if not extra:
-        return label_str
-    labels = parse_label_str(label_str)
-    labels.update(extra)
-    return _label_str(_label_key(labels))
-
-
 def snapshot_is_empty(snapshot: dict | None) -> bool:
     """True when the snapshot carries no series at all."""
     return not snapshot or not any(snapshot.get(s) for s in _SECTIONS)

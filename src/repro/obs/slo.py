@@ -258,11 +258,6 @@ class SLOTracker:
         return bad, total
 
     # ------------------------------------------------------------------
-    def annotate(self, health) -> None:
-        """Attach the current evaluation to a ServiceHealth-like object."""
-        if hasattr(health, "slo"):
-            health.slo = self.evaluate()
-
     @staticmethod
     def evaluate_snapshot(snapshot: dict, slos: tuple = ()) -> dict:
         """One-shot evaluation of a static snapshot (whole-history burn)."""

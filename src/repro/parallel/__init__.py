@@ -1,30 +1,21 @@
 """Parallel execution of pairwise similarity computations.
 
 :class:`ParallelSTS` wraps a similarity measure and computes pairwise
-matrices with a process (or thread) pool — see :mod:`repro.parallel.sts`.
+matrices with a supervised process pool — see :mod:`repro.parallel.sts`.
 The convenient entry point is ``STS.pairwise(..., n_jobs=...)``, which
 routes through this package automatically.
 
-The process backend broadcasts the trajectory corpus to workers through
-a :class:`SharedTrajectoryArena` — one shared-memory pack, zero-copy
-views on the worker side — instead of pickling the collections into
-every pool; see :mod:`repro.parallel.shm`.
+There is one parallel path.  The trajectory corpus is broadcast to the
+workers through a :class:`SharedTrajectoryArena` — one shared-memory
+pack, zero-copy views on the worker side — and workers score
+count-balanced chunks of index pairs; see :mod:`repro.parallel.shm`.
 
-Execution is supervised by default: worker crashes, hangs and corrupt
-scores are retried with backoff and the backend degrades
-``process → thread → serial`` instead of failing the run — see
+Worker crashes, hangs and corrupt scores are retried with backoff, and
+the run degrades ``process → serial`` instead of failing — see
 :mod:`repro.parallel.supervisor` and the :class:`RunHealth` report.
 """
 
-from .pool import (
-    available_cpus,
-    chunk_pairs,
-    chunk_pairs_by_cost,
-    get_parallel_defaults,
-    pair_costs,
-    resolve_n_jobs,
-    set_parallel_defaults,
-)
+from .pool import available_cpus, chunk_pairs, resolve_n_jobs
 from .shm import ArenaHandle, ArenaView, SharedTrajectoryArena
 from .sts import ParallelSTS
 from .supervisor import ChunkEvent, RunHealth, SupervisedExecutor
@@ -33,11 +24,7 @@ __all__ = [
     "ParallelSTS",
     "available_cpus",
     "chunk_pairs",
-    "chunk_pairs_by_cost",
-    "pair_costs",
     "resolve_n_jobs",
-    "set_parallel_defaults",
-    "get_parallel_defaults",
     "ArenaHandle",
     "ArenaView",
     "SharedTrajectoryArena",

@@ -1,45 +1,39 @@
 """Worker-pool plumbing for parallel pairwise similarity.
 
-The process backend ships the measure to each worker **once**, through
-the pool initializer, instead of pickling it into every task.  The
-trajectory collections travel either the same way (pickled initargs, the
-historical path) or — preferably — as a :class:`~repro.parallel.shm.
-SharedTrajectoryArena` handle: the corpus lives in one shared-memory
-block the parent packed, workers attach at initializer time, and the
-only per-call payload is ``(row, col)`` index chunks.  Results come back
-as ``(row, col, score)`` triples — cheap to serialize and
-order-independent to assemble.
+Workers are processes of a :class:`~concurrent.futures.ProcessPoolExecutor`.
+The measure travels to each worker **once**, through the pool
+initializer, together with a :class:`~repro.parallel.shm.ArenaHandle`:
+the corpus lives in one shared-memory block the parent packed, workers
+attach at initializer time, and the only per-call payload is
+``(row, col)`` index chunks.  Results come back as ``(row, col, score)``
+triples — cheap to serialize and order-independent to assemble.
 
 Workers rebuild their own estimator caches (the measure's LRU caches
 deliberately pickle empty — see :class:`repro.core.cache.LRUCache`), so
 each worker owns a private, race-free working set.
-
-The thread backend shares one measure instance across workers; the
-measure's caches are lock-protected, and the heavy kernels (pocketfft,
-BLAS) release the GIL, so threads help even for CPU-bound scoring when
-processes are unavailable (un-picklable custom models, restricted
-platforms).  Threads share the parent address space, so the arena is a
-no-op passthrough there: the original trajectory lists are used as-is.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 __all__ = [
+    "CHUNKS_PER_WORKER",
     "resolve_n_jobs",
     "chunk_pairs",
-    "chunk_pairs_by_cost",
-    "pair_costs",
     "make_executor",
-    "set_parallel_defaults",
-    "get_parallel_defaults",
     "mark_cluster_worker",
     "in_cluster_worker",
 ]
+
+#: Dispatch granularity: the pair list is split into roughly
+#: ``n_jobs * CHUNKS_PER_WORKER`` chunks, trading scheduling slack
+#: against per-chunk overhead.
+CHUNKS_PER_WORKER = 4
 
 # Set inside cluster shard workers (see repro.cluster.worker): a shard
 # worker is itself one of N·R processes, so any pool it sizes through
@@ -61,67 +55,34 @@ def in_cluster_worker() -> bool:
     """Whether this process is a cluster shard worker."""
     return _IN_CLUSTER_WORKER or os.environ.get(_CLUSTER_WORKER_ENV) == "1"
 
-# Process-wide defaults for the parallel transport/chunking policy.
-# ParallelSTS resolves unspecified (None) shm/chunking arguments against
-# these, so entry points that cannot thread the knobs through every layer
-# (the CLI's `report`, the experiment runners) can set them once.
-_PARALLEL_DEFAULTS = {"shm": "auto", "chunking": "count"}
 
-
-def set_parallel_defaults(
-    shm: bool | str | None = None, chunking: str | None = None
-) -> None:
-    """Set process-wide defaults for ``shm`` and ``chunking``.
-
-    ``None`` leaves a knob unchanged.  Affects every subsequently built
-    :class:`~repro.parallel.ParallelSTS` that does not pass the knob
-    explicitly.
-    """
-    if shm is not None:
-        if shm not in (True, False, "auto"):
-            raise ValueError(f"shm must be True, False or 'auto', got {shm!r}")
-        _PARALLEL_DEFAULTS["shm"] = shm
-    if chunking is not None:
-        if chunking not in ("count", "cost"):
-            raise ValueError(
-                f"chunking must be 'count' or 'cost', got {chunking!r}"
-            )
-        _PARALLEL_DEFAULTS["chunking"] = chunking
-
-
-def get_parallel_defaults() -> dict:
-    """The current process-wide ``{"shm": ..., "chunking": ...}`` defaults."""
-    return dict(_PARALLEL_DEFAULTS)
-
-# Per-process worker state, populated by the pool initializer.  A module
+# Per-process worker state, populated by the pool initializer (or, on
+# the serial rung, by the supervisor in the driver process).  A module
 # global (not an instance attribute) because worker functions must be
 # importable top-level objects for pickling.
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(measure, gallery, queries) -> None:
-    """Pool initializer: install this worker's private scoring state."""
+def _install_state(measure, gallery, queries) -> None:
+    """Install the scoring state the chunk tasks read."""
     _WORKER_STATE["measure"] = measure
     _WORKER_STATE["gallery"] = gallery
     _WORKER_STATE["queries"] = queries
-    _WORKER_STATE.pop("arena_view", None)
-    _install_delta_sources()
 
 
-def _init_worker_shm(measure, handle) -> None:
-    """Pool initializer for the shared-memory protocol.
+def _attach_worker(measure, handle) -> None:
+    """Pool initializer: attach this worker to the parent's arena.
 
-    Attaches this worker to the parent's arena exactly once and installs
-    zero-copy trajectory views as the scoring state.  The view object is
-    kept in the worker state so the mapping outlives the initializer.
+    Attaches exactly once and installs zero-copy trajectory views as the
+    scoring state.  The view object is kept in the worker state so the
+    mapping outlives the initializer.
     """
     from .shm import SharedTrajectoryArena
 
     _WORKER_STATE["measure"] = measure
     _install_delta_sources()  # before attach: attach timing is worker work
     view = SharedTrajectoryArena.attach(handle)
-    _WORKER_STATE["gallery"] = view.gallery
-    _WORKER_STATE["queries"] = view.queries
+    _install_state(measure, view.gallery, view.queries)
     _WORKER_STATE["arena_view"] = view
 
 
@@ -280,7 +241,9 @@ def available_cpus() -> int:
 
 
 def chunk_pairs(
-    pairs: Sequence[tuple[int, int]], n_workers: int, chunks_per_worker: int = 4
+    pairs: Sequence[tuple[int, int]],
+    n_workers: int,
+    chunks_per_worker: int = CHUNKS_PER_WORKER,
 ) -> list[list[tuple[int, int]]]:
     """Split the pair list into interleaved chunks for dispatch.
 
@@ -296,129 +259,37 @@ def chunk_pairs(
     return [list(pairs[k::n_chunks]) for k in range(n_chunks)]
 
 
-def pair_costs(
-    pairs: Sequence[tuple[int, int]],
-    row_lengths: Sequence[int],
-    col_lengths: Sequence[int],
-) -> list[int]:
-    """Estimated Eq. 10 cost per pair, from trajectory lengths.
+def make_executor(n_workers: int, measure, arena_handle) -> ProcessPoolExecutor:
+    """A process pool whose workers attach to the arena behind ``arena_handle``.
 
-    Scoring a pair evaluates both estimators at the union of both
-    timestamp sets and takes grid-sized products, so the work scales
-    with ``|T1| · |T2|`` (each estimator's bridge/kernel work grows with
-    its own length *and* with the partner's query count).  The absolute
-    scale is irrelevant — only the ratios matter for balancing.
+    Initargs carry only ``(measure, handle)``; each worker attaches to
+    the shared block once, in its initializer.  Raises when there is no
+    arena or the measure cannot cross a process boundary (e.g. a
+    closure-based transition policy) — the supervisor then degrades to
+    serial scoring in the driver process.
     """
-    return [max(1, row_lengths[i] * col_lengths[j]) for i, j in pairs]
-
-
-def chunk_pairs_by_cost(
-    pairs: Sequence[tuple[int, int]],
-    costs: Sequence[int],
-    n_workers: int,
-    chunks_per_worker: int = 4,
-) -> list[list[tuple[int, int]]]:
-    """Partition pairs into chunks of near-equal *total cost*.
-
-    Deterministic greedy LPT: pairs are taken in decreasing cost order
-    (ties broken by original position, so the plan is reproducible and
-    checkpoint-stable) and each goes to the currently lightest chunk.
-    Within a chunk the original pair order is restored, keeping journals
-    readable.  Every pair appears in exactly one chunk, so the assembled
-    matrix is bitwise independent of the chunking policy.
-    """
-    if not pairs:
-        return []
-    n_chunks = min(len(pairs), max(1, n_workers * chunks_per_worker))
-    order = sorted(range(len(pairs)), key=lambda k: (-costs[k], k))
-    totals = [0] * n_chunks
-    members: list[list[int]] = [[] for _ in range(n_chunks)]
-    for k in order:
-        target = min(range(n_chunks), key=lambda c: (totals[c], c))
-        totals[target] += costs[k]
-        members[target].append(k)
-    return [[pairs[k] for k in sorted(m)] for m in members]
-
-
-def make_executor(
-    backend: str,
-    n_workers: int,
-    measure,
-    gallery,
-    queries,
-    arena_handle=None,
-    registry=None,
-) -> tuple[Executor, str]:
-    """Build the executor for ``backend`` (``"process"``/``"thread"``/``"auto"``).
-
-    ``"auto"`` prefers processes (true parallelism for the CPU-bound
-    scoring loop) and falls back to threads when the measure cannot cross
-    a process boundary (e.g. a closure-based transition policy that does
-    not pickle).  Returns the executor and the backend actually chosen.
-
-    ``arena_handle`` switches the process backend to the shared-memory
-    protocol: initargs carry ``(measure, handle)`` instead of the pickled
-    collections, and workers attach to the arena in their initializer.
-    When the process backend is unavailable and the caller asked for the
-    arena, the fallback to pickling threads is *announced* — a one-line
-    ``RuntimeWarning`` plus the ``repro_parallel_shm_fallback_total``
-    counter — so a silent throughput regression stays diagnosable.
-    """
-    if backend not in ("auto", "process", "thread"):
-        raise ValueError(
-            f"backend must be 'auto', 'process' or 'thread', got {backend!r}"
-        )
-    if backend in ("auto", "process"):
-        try:
-            import pickle
-
-            if arena_handle is not None:
-                pickle.dumps(measure)
-            else:
-                pickle.dumps((measure, gallery, queries))
-        except Exception:
-            if backend == "process":
-                raise
-            if arena_handle is not None:
-                _announce_shm_fallback("measure does not pickle", registry)
-        else:
-            if arena_handle is not None:
-                return (
-                    ProcessPoolExecutor(
-                        max_workers=n_workers,
-                        initializer=_init_worker_shm,
-                        initargs=(measure, arena_handle),
-                    ),
-                    "process",
-                )
-            return (
-                ProcessPoolExecutor(
-                    max_workers=n_workers,
-                    initializer=_init_worker,
-                    initargs=(measure, gallery, queries),
-                ),
-                "process",
-            )
-    # Thread fallback: share the measure (its caches are lock-protected).
-    # The arena is a no-op passthrough here — threads see the parent's
-    # own trajectory lists.
-    _init_worker(measure, gallery, queries)
-    return ThreadPoolExecutor(max_workers=n_workers), "thread"
+    if arena_handle is None:
+        raise RuntimeError("no shared-memory arena to attach workers to")
+    pickle.dumps(measure)
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        initializer=_attach_worker,
+        initargs=(measure, arena_handle),
+    )
 
 
 def _announce_shm_fallback(reason: str, registry=None) -> None:
-    """One-line warning + counter when the shm backend silently degrades."""
+    """One-line warning + counter when the arena path cannot be used."""
     from ..obs import get_registry
 
     reg = registry if registry is not None else get_registry()
     reg.counter(
         "repro_parallel_shm_fallback_total",
-        "Dispatches that fell back from the shared-memory arena to pickling",
+        "Dispatches that fell back from the shared-memory arena to serial scoring",
     ).inc(reason=reason)
     warnings.warn(
         f"shared-memory arena requested but unusable ({reason}); "
-        "falling back to the pickling path — expect serialization-bound "
-        "parallel throughput",
+        "falling back to serial scoring in the driver process",
         RuntimeWarning,
         stacklevel=3,
     )

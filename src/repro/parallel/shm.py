@@ -1,12 +1,12 @@
 """Zero-copy gallery broadcast through POSIX shared memory.
 
-The process backend of :mod:`repro.parallel` originally shipped the
-trajectory collections to every worker by pickling them into the pool
-initializer — O(corpus bytes × workers) of serialization per ``pairwise``
-call, which ``BENCH_throughput.json`` showed *dominating* the Eq. 10
-scoring the pool was meant to parallelize.  The classic inference-stack
-fix transfers directly: put the read-only corpus in shared memory
-**once**, and ship only indices.
+This is the only way :mod:`repro.parallel` gets a corpus to its worker
+processes.  Pickling the trajectory collections into every pool
+initializer would cost O(corpus bytes × workers) of serialization per
+``pairwise`` call, which ``BENCH_throughput.json`` once showed
+*dominating* the Eq. 10 scoring the pool was meant to parallelize.  The
+classic inference-stack fix transfers directly: put the read-only corpus
+in shared memory **once**, and ship only indices.
 
 :class:`SharedTrajectoryArena` packs a gallery's ``(t, x, y)`` arrays
 (plus per-trajectory offsets) into one ``multiprocessing.shared_memory``
@@ -32,9 +32,9 @@ Ownership protocol (leak safety)
   shared_memory" warning is emitted at shutdown, while a crashed
   *parent* still gets its segment reaped by the tracker.
 
-The thread and serial rungs of the degradation ladder share the parent
-address space, so there the arena is a no-op passthrough — the pool
-plumbing simply uses the original trajectory lists.
+When the arena cannot be packed, the parallel run degrades to serial
+scoring in the parent process, which reads the original trajectory
+lists and needs no arena.
 """
 
 from __future__ import annotations

@@ -3,37 +3,24 @@
 A similarity matrix is embarrassingly parallel — every entry is an
 independent ``measure.similarity(a, b)`` — but a naive fan-out re-pickles
 the measure per pair and loses the symmetric structure.
-:class:`ParallelSTS` dispatches *chunks of index pairs* to a pool whose
-workers each hold one private copy of the measure (built once per worker
-by the pool initializer), then assembles the matrix deterministically
-from ``(row, col, score)`` triples.  Because every entry is produced by
-the exact same scoring code as the serial path, the parallel matrix
-matches ``STS.pairwise`` to the last bit regardless of worker count,
-chunk schedule, chunking policy, or transport.
+:class:`ParallelSTS` runs one parallel path: the corpus is packed once
+into a :class:`~repro.parallel.shm.SharedTrajectoryArena`, a
+``ProcessPoolExecutor`` whose workers attach to it (and hold one private
+copy of the measure each) scores interleaved, equally sized chunks of
+index pairs, and the matrix is assembled deterministically from
+``(row, col, score)`` triples.  Because every entry is produced by the
+exact same scoring code as the serial path, the parallel matrix matches
+``STS.pairwise`` to the last bit regardless of worker count or chunk
+schedule.  ``persistent=True`` keeps the worker pool and the gallery
+arena warm across ``pairwise``/``query`` calls, so a serving loop pays
+pool startup and the gallery broadcast once.
 
-Transport: by default (``shm="auto"``) the process backend broadcasts
-the trajectory corpus through a :class:`~repro.parallel.shm.
-SharedTrajectoryArena` — one shared-memory pack, workers attach at
-initializer time and score zero-copy views — so the per-call pickle
-payload is the measure plus bare index chunks instead of the whole
-corpus.  Thread and serial execution share the parent address space and
-need no arena.  ``persistent=True`` additionally keeps the worker pool
-and the gallery arena warm across ``pairwise``/``query`` calls, so a
-serving loop pays pool startup and the gallery broadcast once.
-
-Chunking: ``chunking="count"`` (default) splits the pair list into
-equally sized interleaved chunks; ``chunking="cost"`` packs chunks to
-near-equal *estimated cost* (Eq. 10 work scales with ``|T1|·|T2|``),
-which tightens the straggler tail when trajectory lengths vary widely.
-Either way every pair is scored exactly once, so results are identical.
-
-Execution is *supervised* by default (see
-:mod:`repro.parallel.supervisor`): dead workers are detected and their
-chunks retried with capped exponential backoff, hung chunks are timed
-out, and the backend degrades ``process → thread → serial`` rather than
-failing the run — the arena becoming a no-op passthrough on the lower
-rungs.  What happened is recorded in the
-:class:`~repro.parallel.supervisor.RunHealth` exposed as
+Execution is *supervised* (see :mod:`repro.parallel.supervisor`): dead
+workers are detected and their chunks retried with capped exponential
+backoff, hung chunks are timed out, and the run degrades
+``process → serial`` rather than failing — also when the arena cannot
+be packed or the measure does not pickle.  What happened is recorded in
+the :class:`~repro.parallel.supervisor.RunHealth` exposed as
 :attr:`ParallelSTS.last_health`.  Passing ``checkpoint=`` journals
 completed chunks to disk (atomic write-rename) so an interrupted run
 resumes from the last good state — see :mod:`repro.checkpoint`.
@@ -43,7 +30,7 @@ from __future__ import annotations
 
 from functools import partial
 from time import perf_counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,34 +38,31 @@ from ..checkpoint import PairwiseCheckpoint
 from ..core.trajectory import Trajectory
 from ..obs import get_registry, trace_span
 from .pool import (
-    _init_worker,
+    _announce_shm_fallback,
     _score_chunk_vs_queries,
     chunk_pairs,
-    chunk_pairs_by_cost,
-    get_parallel_defaults,
     make_executor,
-    pair_costs,
     resolve_n_jobs,
 )
-from .supervisor import RunHealth, SupervisedExecutor
+from .shm import SharedTrajectoryArena
+from .supervisor import RunHealth, SupervisedExecutor, _kill_executor
 
 __all__ = ["ParallelSTS"]
 
-#: Ratio buckets for the chunk-imbalance histogram (chunk cost / mean).
-_IMBALANCE_BUCKETS = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 
+def _assemble(shape, triples: Iterable, symmetric: bool) -> np.ndarray:
+    """The score matrix from ``(row, col, score)`` triples.
 
-def _same_collections(a, b) -> bool:
-    """Element-wise *identity* match between two trajectory collections.
-
-    Identity, not equality, for the same reason as
-    :meth:`~repro.parallel.shm.SharedTrajectoryArena.matches`: warm
-    workers hold state keyed to the exact objects they were initialized
-    with, so only the same objects may reuse them.
+    A symmetric run scores only the upper triangle; it is mirrored with
+    ``triu`` so every off-diagonal cell keeps its sign and NaN-ness.
     """
-    if a is None or b is None:
-        return a is None and b is None
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+    out = np.zeros(shape)
+    for i, j, score in triples:
+        out[i, j] = score
+    if symmetric:
+        upper = np.triu(out)
+        out = upper + np.triu(upper, 1).T
+    return out
 
 
 class ParallelSTS:
@@ -88,43 +72,18 @@ class ParallelSTS:
     ----------
     measure:
         Any object with a ``similarity(tra1, tra2) -> float`` method
-        (typically :class:`repro.core.STS`).  For the process backend it
-        must be picklable; STS and its ablation variants are.
+        (typically :class:`repro.core.STS`).  It must be picklable to
+        reach the worker processes (STS and its ablation variants are);
+        one that is not is scored serially in the driver.
     n_jobs:
         Worker count; ``-1`` means one per available CPU (``None``/``1``
         run serially in-process).
-    backend:
-        ``"process"`` (private measure copy per worker), ``"thread"``
-        (shared measure, lock-protected caches), or ``"auto"`` (processes
-        when the measure pickles, threads otherwise).
-    chunks_per_worker:
-        Dispatch granularity: the pair list is split into roughly
-        ``n_jobs * chunks_per_worker`` chunks, trading scheduling slack
-        against per-chunk overhead.
-    chunking:
-        ``"count"`` — equal pair counts, interleaved; ``"cost"`` —
-        near-equal estimated cost from trajectory lengths (see
-        :func:`~repro.parallel.pool.chunk_pairs_by_cost`).  ``None``
-        (default) resolves against the process-wide default
-        (:func:`~repro.parallel.pool.set_parallel_defaults`, initially
-        ``"count"``).
-    shm:
-        ``"auto"`` — broadcast the corpus through a shared-memory arena
-        whenever the process backend is in play; ``True`` — same, but
-        warn loudly if the arena cannot be used; ``False`` — always
-        pickle collections into the pool initializer (the historical
-        transport).  ``None`` (default) resolves against the
-        process-wide default (initially ``"auto"``).
     persistent:
         Keep the worker pool and the gallery arena warm across calls.
         Use as a context manager (or call :meth:`close`) to release the
         pool and unlink the arena.  Repeated :meth:`pairwise` calls on
         the same gallery object, and any number of :meth:`query` calls
         against it, then skip pool startup and the corpus broadcast.
-    supervised:
-        Run chunks through the :class:`~repro.parallel.supervisor.
-        SupervisedExecutor` (default).  ``False`` restores the bare
-        fail-fast pool of the original implementation.
     chunk_timeout, max_retries, backoff_base, backoff_max, on_error,
     validate_scores:
         Supervision knobs, forwarded to the supervisor — see
@@ -142,12 +101,7 @@ class ParallelSTS:
         self,
         measure,
         n_jobs: int | None = -1,
-        backend: str = "auto",
-        chunks_per_worker: int = 4,
-        chunking: str | None = None,
-        shm: bool | str | None = None,
         persistent: bool = False,
-        supervised: bool = True,
         chunk_timeout: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
@@ -156,23 +110,9 @@ class ParallelSTS:
         validate_scores: bool = True,
         registry=None,
     ):
-        defaults = get_parallel_defaults()
-        chunking = defaults["chunking"] if chunking is None else chunking
-        shm = defaults["shm"] if shm is None else shm
-        if chunking not in ("count", "cost"):
-            raise ValueError(
-                f"chunking must be 'count' or 'cost', got {chunking!r}"
-            )
-        if shm not in (True, False, "auto"):
-            raise ValueError(f"shm must be True, False or 'auto', got {shm!r}")
         self.measure = measure
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.backend = backend
-        self.chunks_per_worker = int(chunks_per_worker)
-        self.chunking = chunking
-        self.shm = shm
         self.persistent = bool(persistent)
-        self.supervised = bool(supervised)
         self.chunk_timeout = chunk_timeout
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
@@ -181,7 +121,7 @@ class ParallelSTS:
         self.validate_scores = bool(validate_scores)
         self.last_health: RunHealth | None = None
         self._arena = None
-        self._warm: dict | None = None  # {"executor", "backend", "shm_name"}
+        self._warm: dict | None = None  # {"executor", "shm_name"}
         # Share the measure's registry when it has one, so parallel and
         # serial metrics land in one place.
         if registry is not None:
@@ -194,11 +134,6 @@ class ParallelSTS:
         self._h_dispatch = self._registry.histogram(
             "repro_parallel_dispatch_seconds",
             "Wall seconds per supervised chunk-dispatch round trip",
-        ).child()
-        self._h_imbalance = self._registry.histogram(
-            "repro_parallel_chunk_imbalance",
-            "Estimated chunk cost over the mean chunk cost, per chunk",
-            buckets=_IMBALANCE_BUCKETS,
         ).child()
 
     # ------------------------------------------------------------------
@@ -217,66 +152,21 @@ class ParallelSTS:
             "n_pairs": n_pairs,
             "n_chunks": n_chunks,
             "symmetric": symmetric,
-            "chunking": self.chunking,
         }
-
-    # ------------------------------------------------------------------
-    # Chunk planning
-    # ------------------------------------------------------------------
-    def _plan_chunks(
-        self,
-        pairs: list[tuple[int, int]],
-        gallery: Sequence[Trajectory],
-        queries: Sequence[Trajectory] | None,
-    ) -> list[list[tuple[int, int]]]:
-        """Partition the pair list per the configured chunking policy."""
-        if self.chunking == "cost":
-            rows = gallery if queries is None else queries
-            row_lengths = [len(t) for t in rows]
-            col_lengths = (
-                row_lengths if queries is None else [len(t) for t in gallery]
-            )
-            costs = pair_costs(pairs, row_lengths, col_lengths)
-            chunks = chunk_pairs_by_cost(
-                pairs, costs, self.n_jobs, self.chunks_per_worker
-            )
-            cost_of = dict(zip(pairs, costs))
-            totals = [sum(cost_of[p] for p in chunk) for chunk in chunks]
-        else:
-            chunks = chunk_pairs(pairs, self.n_jobs, self.chunks_per_worker)
-            totals = [len(chunk) for chunk in chunks]
-        if totals:
-            mean = sum(totals) / len(totals)
-            if mean > 0:
-                for total in totals:
-                    self._h_imbalance.observe(total / mean)
-        return chunks
 
     # ------------------------------------------------------------------
     # Arena + warm-pool lifecycle
     # ------------------------------------------------------------------
-    def _shm_wanted(self) -> bool:
-        """Whether the arena transport should even be attempted."""
-        if self.shm is False:
-            return False
-        # With one worker the effective backend is serial regardless of
-        # what was configured: the run executes in the driver process and
-        # an arena would be packed and unlinked without ever being
-        # attached.
-        if self.n_jobs <= 1:
-            return False
-        # Threads never need the arena; "auto"/True only matter when the
-        # process rung can be reached from the configured backend.
-        return self.backend in ("auto", "process")
-
     def _ensure_arena(self, gallery, queries):
         """The (possibly reused) arena for this call, or ``None``.
 
-        Packing failures are not fatal — the pickling transport still
-        works — but they are announced so the regression is diagnosable.
+        With one worker the run executes in the driver process, so no
+        arena is packed.  Packing failures are not fatal — the run
+        degrades to serial — but they are announced so the regression
+        is diagnosable.
         """
-        from .shm import SharedTrajectoryArena
-
+        if self.n_jobs <= 1:
+            return None
         if self._arena is not None:
             if self.persistent and self._arena.matches(gallery, queries):
                 return self._arena
@@ -286,8 +176,6 @@ class ParallelSTS:
                 gallery, queries, registry=self._registry
             )
         except Exception as exc:  # e.g. no /dev/shm on the platform
-            from .pool import _announce_shm_fallback
-
             _announce_shm_fallback(f"arena pack failed: {exc}", self._registry)
             self._arena = None
         return self._arena
@@ -308,74 +196,61 @@ class ParallelSTS:
                 pass
             self._warm = None
 
-    def _executor_factory(self, gallery, queries, arena_handle):
+    def _executor_factory(self, arena_handle):
         """A supervisor ``executor_factory`` honouring persistence."""
-        shm_name = arena_handle.shm_name if arena_handle is not None else None
-        gallery = list(gallery)
-        queries = list(queries) if queries is not None else None
 
-        def factory(backend: str, n_workers: int):
+        def factory(n_workers: int):
+            # No arena means no warm pool either (dropping an arena
+            # releases its pool), and make_executor refuses to start.
             warm = self._warm
-            # Reuse requires the same transport (backend + arena) AND the
-            # same collection objects: without the identity check, a call
-            # with a different gallery on the pickling/thread paths (where
-            # shm_name is None on both sides) would silently score against
-            # the collections the warm workers were initialized with.
-            if (
-                warm is not None
-                and warm["backend"] == backend
-                and warm["shm_name"] == shm_name
-                and _same_collections(warm["gallery"], gallery)
-                and _same_collections(warm["queries"], queries)
-            ):
-                if backend == "thread":
-                    # Thread workers read the module-global worker state,
-                    # which any executor built in this process since may
-                    # have replaced; refreshing it is free of pickling.
-                    _init_worker(self.measure, gallery, queries)
-                return warm["executor"], warm["backend"]
+            if warm is not None and warm["shm_name"] == arena_handle.shm_name:
+                return warm["executor"]
             self._release_warm()
-            executor, actual = make_executor(
-                backend,
-                n_workers,
-                self.measure,
-                gallery,
-                queries,
-                arena_handle=arena_handle,
-                registry=self._registry,
-            )
+            executor = make_executor(n_workers, self.measure, arena_handle)
             if self.persistent:
-                self._warm = {
-                    "executor": executor,
-                    "backend": actual,
-                    "shm_name": shm_name,
-                    "gallery": gallery,
-                    "queries": queries,
-                }
-            return executor, actual
+                self._warm = {"executor": executor, "shm_name": arena_handle.shm_name}
+            return executor
 
         return factory
 
-    def _executor_release(self, executor, actual: str, healthy: bool) -> None:
+    def _executor_release(self, executor, healthy: bool) -> None:
         """Supervisor release hook: keep healthy persistent pools warm."""
         warm = self._warm
         if self.persistent and warm is not None and warm["executor"] is executor:
             if healthy:
                 return  # stays warm for the next call
             self._warm = None
-        from .supervisor import _kill_executor
-
         if healthy:
             executor.shutdown(wait=True, cancel_futures=True)
         else:
-            _kill_executor(executor, actual)
+            _kill_executor(executor)
+
+    def _supervisor(self, gallery, queries, arena, deadline, task=None):
+        """A supervisor for one call, starting on the process rung."""
+        arena_handle = arena.handle if arena is not None else None
+        return SupervisedExecutor(
+            self.measure,
+            list(gallery),
+            list(queries) if queries is not None else None,
+            self.n_jobs,
+            backend="process" if self.n_jobs > 1 else "serial",
+            chunk_timeout=self.chunk_timeout,
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+            backoff_max=self.backoff_max,
+            on_error=self.on_error,
+            validate_scores=self.validate_scores,
+            deadline=deadline,
+            registry=self._registry,
+            arena_handle=arena_handle,
+            task=task,
+            executor_factory=self._executor_factory(arena_handle),
+            executor_release=self._executor_release,
+        )
 
     def close(self) -> None:
         """Release the warm pool and unlink the arena (idempotent)."""
-        self._release_warm()
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        self._drop_arena()
 
     def __enter__(self) -> "ParallelSTS":
         return self
@@ -401,8 +276,8 @@ class ParallelSTS:
         ``checkpoint`` names a journal file: completed chunks are
         persisted there (atomic write-rename) and a rerun pointing at the
         same file skips them.  Resume requires the same chunk plan — same
-        collections, ``n_jobs``, ``chunks_per_worker`` and ``chunking``
-        policy — which the journal's fingerprint enforces.
+        collections and ``n_jobs`` — which the journal's fingerprint
+        enforces.
 
         ``deadline`` caps the whole call at that many wall-clock seconds:
         chunks not finished in time come back NaN-filled (recorded as
@@ -411,70 +286,46 @@ class ParallelSTS:
         journaled, so an unbounded rerun on the same checkpoint
         recomputes exactly the missing entries.
         """
+        rows = gallery if queries is None else queries
+        shape = (len(rows), len(gallery))
         if queries is None:
-            n = len(gallery)
-            out = np.zeros((n, n))
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            pairs = [(i, j) for i in range(len(gallery)) for j in range(i, len(gallery))]
         else:
-            out = np.zeros((len(queries), len(gallery)))
             pairs = [(i, j) for i in range(len(queries)) for j in range(len(gallery))]
         if not pairs:
-            return out
+            return np.zeros(shape)
         if self.n_jobs == 1 and checkpoint is None and deadline is None:
-            # Serial, unjournaled and undeadlined (supervised or not): the
-            # measure's own batched pairwise (prewarmed) is both faster
-            # and identical, and there is nothing to supervise in-process.
+            # Serial, unjournaled and undeadlined: the measure's own
+            # batched pairwise (prewarmed) is both faster and identical,
+            # and there is nothing to supervise in-process.
             self.last_health = None
-            return self._serial_fast_path(out, pairs, gallery, queries)
+            serial = getattr(self.measure, "pairwise", None)
+            if serial is not None:
+                return serial(gallery, queries)
+            similarity = self.measure.similarity
+            return _assemble(
+                shape,
+                ((i, j, similarity(rows[i], gallery[j])) for i, j in pairs),
+                queries is None,
+            )
 
-        chunks = self._plan_chunks(pairs, gallery, queries)
-        arena = self._ensure_arena(gallery, queries) if self._shm_wanted() else None
+        chunks = chunk_pairs(pairs, self.n_jobs)
+        arena = self._ensure_arena(gallery, queries)
         try:
-            if not self.supervised and checkpoint is None and deadline is None:
-                return self._unsupervised(out, chunks, gallery, queries, arena)
             ckpt = None
             done = None
             if checkpoint is not None:
                 ckpt = PairwiseCheckpoint(
                     checkpoint,
                     self._fingerprint(
-                        out.shape[0], out.shape[1], len(pairs), len(chunks),
-                        queries is None,
+                        shape[0], shape[1], len(pairs), len(chunks), queries is None
                     ),
                 )
                 done = ckpt.completed
-
-            backend = self.backend if self.n_jobs > 1 else "serial"
-            arena_handle = arena.handle if arena is not None else None
-            supervisor = SupervisedExecutor(
-                self.measure,
-                list(gallery),
-                list(queries) if queries is not None else None,
-                self.n_jobs,
-                backend=backend,
-                chunk_timeout=self.chunk_timeout,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-                backoff_max=self.backoff_max,
-                on_error=self.on_error,
-                validate_scores=self.validate_scores,
-                deadline=deadline,
-                registry=self._registry,
-                arena_handle=arena_handle,
-                executor_factory=self._executor_factory(
-                    gallery, queries, arena_handle
-                ),
-                executor_release=self._executor_release,
-            )
+            supervisor = self._supervisor(gallery, queries, arena, deadline)
             self.last_health = supervisor.health
             t0 = perf_counter()
-            with trace_span(
-                "parallel.pairwise",
-                n_jobs=self.n_jobs,
-                backend=backend,
-                chunks=len(chunks),
-                shm=arena is not None,
-            ):
+            with trace_span("parallel.pairwise", n_jobs=self.n_jobs, chunks=len(chunks)):
                 results = supervisor.run(
                     chunks,
                     done=done,
@@ -487,13 +338,11 @@ class ParallelSTS:
                 supervisor.health.metrics = self._registry.snapshot()
             if ckpt is not None:
                 ckpt.flush()
-            for k in range(len(chunks)):
-                for i, j, score in results[k]:
-                    out[i, j] = score
-            if queries is None:
-                upper = np.triu(out)
-                out = upper + np.triu(upper, 1).T
-            return out
+            return _assemble(
+                shape,
+                (triple for triples in results.values() for triple in triples),
+                queries is None,
+            )
         finally:
             if not self.persistent:
                 self._drop_arena()
@@ -529,50 +378,18 @@ class ParallelSTS:
             return np.array(
                 [float(self.measure.similarity(query, gallery[c])) for c in cols]
             )
-        pairs = [(0, c) for c in cols]
-        if self.chunking == "cost":
-            costs = pair_costs(pairs, [len(query)], [len(t) for t in gallery])
-            chunks = chunk_pairs_by_cost(
-                pairs, costs, self.n_jobs, self.chunks_per_worker
-            )
-        else:
-            chunks = chunk_pairs(pairs, self.n_jobs, self.chunks_per_worker)
+        chunks = chunk_pairs([(0, c) for c in cols], self.n_jobs)
         # The persistent arena must describe the gallery alone, so it
         # stays valid across calls with changing queries.
-        arena = self._ensure_arena(gallery, None) if self._shm_wanted() else None
+        arena = self._ensure_arena(gallery, None)
         try:
-            backend = self.backend if self.n_jobs > 1 else "serial"
-            arena_handle = arena.handle if arena is not None else None
-            supervisor = SupervisedExecutor(
-                self.measure,
-                list(gallery),
-                [query],
-                self.n_jobs,
-                backend=backend,
-                chunk_timeout=self.chunk_timeout,
-                max_retries=self.max_retries,
-                backoff_base=self.backoff_base,
-                backoff_max=self.backoff_max,
-                on_error=self.on_error,
-                validate_scores=self.validate_scores,
-                deadline=deadline,
-                registry=self._registry,
-                arena_handle=arena_handle,
+            supervisor = self._supervisor(
+                gallery, [query], arena, deadline,
                 task=partial(_score_chunk_vs_queries, [query]),
-                executor_factory=self._executor_factory(
-                    gallery, None, arena_handle
-                ),
-                executor_release=self._executor_release,
             )
             self.last_health = supervisor.health
             t0 = perf_counter()
-            with trace_span(
-                "parallel.query",
-                n_jobs=self.n_jobs,
-                backend=backend,
-                chunks=len(chunks),
-                shm=arena is not None,
-            ):
+            with trace_span("parallel.query", n_jobs=self.n_jobs, chunks=len(chunks)):
                 results = supervisor.run(chunks)
             self._h_dispatch.observe(perf_counter() - t0)
             by_col = {
@@ -585,43 +402,8 @@ class ParallelSTS:
             if not self.persistent:
                 self._drop_arena()
 
-    def _unsupervised(self, out, chunks, gallery, queries, arena) -> np.ndarray:
-        """The original fail-fast pool: any worker fault kills the run."""
-        from .pool import _score_chunk
-
-        self.last_health = None
-        executor, _backend = make_executor(
-            self.backend, self.n_jobs, self.measure, list(gallery),
-            list(queries) if queries is not None else None,
-            arena_handle=arena.handle if arena is not None else None,
-            registry=self._registry,
-        )
-        try:
-            for triples in executor.map(_score_chunk, chunks):
-                for i, j, score in triples:
-                    out[i, j] = score
-        finally:
-            executor.shutdown()
-        if queries is None:
-            upper = np.triu(out)
-            out = upper + np.triu(upper, 1).T
-        return out
-
-    def _serial_fast_path(self, out, pairs, gallery, queries) -> np.ndarray:
-        serial = self.measure.pairwise if hasattr(self.measure, "pairwise") else None
-        if serial is not None:
-            return serial(gallery, queries)
-        rows = gallery if queries is None else queries
-        for i, j in pairs:
-            out[i, j] = self.measure.similarity(rows[i], gallery[j])
-        if queries is None:
-            out = np.maximum(out, out.T)
-        return out
-
     def __repr__(self) -> str:
         return (
             f"ParallelSTS({self.measure!r}, n_jobs={self.n_jobs}, "
-            f"backend={self.backend!r}, supervised={self.supervised}, "
-            f"shm={self.shm!r}, chunking={self.chunking!r}, "
             f"persistent={self.persistent})"
         )

@@ -1,9 +1,9 @@
 """Supervised chunk execution: retries, timeouts, graceful degradation.
 
-The plain pool of :mod:`repro.parallel.pool` assumes a healthy world: no
-worker ever dies, hangs, or returns garbage.  On a multi-hour pairwise
-run that assumption eventually breaks — the OOM killer takes a worker,
-a pathological pair wedges a kernel, a node-level fault corrupts a
+A bare process pool assumes a healthy world: no worker ever dies,
+hangs, or returns garbage.  On a multi-hour pairwise run that
+assumption eventually breaks — the OOM killer takes a worker, a
+pathological pair wedges a kernel, a node-level fault corrupts a
 result — and with a bare ``ProcessPoolExecutor`` one such event kills
 the whole run.
 
@@ -17,15 +17,15 @@ pairs) with a supervision loop:
   ``backoff_base * 2**round`` seconds (capped at ``backoff_max``)
   before re-dispatching, so a transiently sick machine gets air.
 * **progress timeouts** — if no chunk completes within
-  ``chunk_timeout`` seconds the outstanding workers are presumed hung;
-  process workers are killed outright (threads cannot be killed — there
-  the timeout only abandons queued chunks).
-* **graceful degradation** — when a backend exhausts ``max_retries``
-  the supervisor steps down the ladder ``process → thread → serial``.
-  The serial rung runs in the driver process itself: a chunk that still
-  fails there is failing deterministically, and the configured
-  ``on_error`` policy decides between propagating the error and filling
-  the chunk's pairs with NaN.
+  ``chunk_timeout`` seconds the outstanding workers are presumed hung
+  and killed outright.
+* **graceful degradation** — when the process pool exhausts
+  ``max_retries``, or cannot be built at all (no arena, a measure that
+  does not pickle), the supervisor steps down the ladder
+  ``process → serial``.  The serial rung runs in the driver process
+  itself: a chunk that still fails there is failing deterministically,
+  and the configured ``on_error`` policy decides between propagating the
+  error and filling the chunk's pairs with NaN.
 * **score validation** — STS scores are probabilities; a non-finite
   score coming back from a worker marks the chunk corrupt and re-scores
   it.
@@ -50,7 +50,14 @@ import numpy as np
 
 from ..errors import ScoreCorruptionError, validate_policy
 from ..obs import adopt_span, get_registry, merge_into_registry
-from .pool import TELEMETRY_KEY, _init_worker, _score_chunk, _task_with_telemetry, make_executor
+from .pool import (
+    TELEMETRY_KEY,
+    _announce_shm_fallback,
+    _install_state,
+    _score_chunk,
+    _task_with_telemetry,
+    make_executor,
+)
 
 __all__ = ["ChunkEvent", "RunHealth", "SupervisedExecutor"]
 
@@ -82,7 +89,7 @@ class RunHealth:
     skipped chunks — is counted here and detailed in ``events``.
     """
 
-    backend_requested: str = "auto"
+    backend_requested: str = "process"
     n_chunks: int = 0
     resumed_chunks: int = 0
     rounds: int = 0
@@ -155,19 +162,17 @@ class RunHealth:
         )
 
 
-def _kill_executor(executor, backend: str) -> None:
-    """Tear an executor down hard after a hang.
+def _kill_executor(executor) -> None:
+    """Tear a process pool down hard after a hang or a crash.
 
-    Process workers are killed with SIGKILL — a hung worker will not
-    honour a graceful shutdown.  Threads cannot be killed in CPython;
-    abandoning the executor at least cancels everything still queued.
+    Workers are killed with SIGKILL — a hung worker will not honour a
+    graceful shutdown.
     """
-    if backend == "process":
-        for proc in list(getattr(executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except Exception:  # already dead
-                pass
+    for proc in list(getattr(executor, "_processes", {}).values()):
+        try:
+            proc.kill()
+        except Exception:  # already dead
+            pass
     executor.shutdown(wait=False, cancel_futures=True)
 
 
@@ -177,14 +182,13 @@ class SupervisedExecutor:
     Parameters
     ----------
     measure, gallery, queries:
-        The scoring state, exactly as :func:`~repro.parallel.pool.
-        make_executor` ships it to workers.
+        The scoring state.  The serial rung scores these objects in the
+        driver; process workers score the arena's views of them.
     n_jobs:
-        Worker count for the pooled rungs.
+        Worker count for the process rung.
     backend:
-        First rung of the ladder: ``"auto"``/``"process"`` start at the
-        process pool, ``"thread"`` at the thread pool, ``"serial"`` runs
-        everything in the driver.
+        First rung of the ladder: ``"process"`` starts at the process
+        pool, ``"serial"`` runs everything in the driver.
     chunk_timeout:
         Progress timeout in seconds: if *no* chunk completes for this
         long, outstanding workers are presumed hung.  ``None`` disables
@@ -212,13 +216,11 @@ class SupervisedExecutor:
     clock:
         Monotonic time source for the deadline (injectable for tests).
     arena_handle:
-        Optional :class:`~repro.parallel.shm.ArenaHandle`: the process
-        rung then uses the shared-memory protocol (workers attach to the
-        arena instead of unpickling the collections).  The thread and
-        serial rungs ignore it — they share the parent address space, so
-        the arena is a no-op passthrough and ``gallery``/``queries`` are
-        used directly.  Degrading away from the process rung while an
-        arena is in play is announced (warning + fallback counter).
+        The :class:`~repro.parallel.shm.ArenaHandle` process workers
+        attach to.  Without one the process rung cannot start and the
+        run degrades to serial.  Degrading away from the process rung
+        while an arena is in play is announced (warning + fallback
+        counter).
     task:
         The chunk-scoring callable submitted to the pool (default
         :func:`~repro.parallel.pool._score_chunk`).  Must be picklable
@@ -226,17 +228,14 @@ class SupervisedExecutor:
         one argument: the chunk's pair list.
     executor_factory, executor_release:
         Pool lifecycle hooks for warm-pool reuse.  ``executor_factory(
-        backend, n_workers)`` returns ``(executor, actual_backend)``;
-        ``executor_release(executor, actual_backend, healthy)`` is called
-        after each round — ``healthy=False`` means the pool broke or
-        hung and must not be reused.  Defaults build a fresh pool per
-        round and shut it down after (the historical behaviour).
+        n_workers)`` returns a process pool; ``executor_release(executor,
+        healthy)`` is called after each round — ``healthy=False`` means
+        the pool broke or hung and must not be reused.  Defaults build a
+        fresh pool per round and shut it down after.
     """
 
     _LADDERS = {
-        "auto": ("process", "thread", "serial"),
-        "process": ("process", "thread", "serial"),
-        "thread": ("thread", "serial"),
+        "process": ("process", "serial"),
         "serial": ("serial",),
     }
 
@@ -246,7 +245,7 @@ class SupervisedExecutor:
         gallery,
         queries,
         n_jobs: int,
-        backend: str = "auto",
+        backend: str = "process",
         chunk_timeout: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
@@ -306,28 +305,21 @@ class SupervisedExecutor:
         self._m_resumed = chunk_counter.child(event="resumed")
         self._m_degradations = reg.counter(
             "repro_supervisor_degradations_total",
-            "Backend ladder step-downs (process->thread->serial)",
+            "Backend ladder step-downs (process->serial)",
         )
 
     # ------------------------------------------------------------------
-    def _default_factory(self, backend: str, n_workers: int):
-        """Fresh pool per round (shared-memory protocol when arena set)."""
-        return make_executor(
-            backend,
-            n_workers,
-            self.measure,
-            self.gallery,
-            self.queries,
-            arena_handle=self.arena_handle,
-            registry=self._registry,
-        )
+    def _default_factory(self, n_workers: int):
+        """Fresh pool per round, attached to the arena."""
+        return make_executor(n_workers, self.measure, self.arena_handle)
 
-    def _default_release(self, executor, actual: str, healthy: bool) -> None:
+    @staticmethod
+    def _default_release(executor, healthy: bool) -> None:
         """Tear the round's pool down (hard when it broke or hung)."""
         if healthy:
             executor.shutdown(wait=True, cancel_futures=True)
         else:
-            _kill_executor(executor, actual)
+            _kill_executor(executor)
 
     # ------------------------------------------------------------------
     def _remaining(self) -> float | None:
@@ -431,11 +423,9 @@ class SupervisedExecutor:
                 next_backend = ladder[rung + 1]
                 health.degradations.append(f"{backend}->{next_backend}")
                 self._m_degradations.inc(step=f"{backend}->{next_backend}")
-                if backend == "process" and self.arena_handle is not None:
-                    # Leaving the process rung abandons the shared-memory
-                    # protocol; say so rather than silently re-pickling.
-                    from .pool import _announce_shm_fallback
-
+                if self.arena_handle is not None:
+                    # Leaving the process rung abandons the arena; say so
+                    # rather than silently running serially.
                     _announce_shm_fallback(
                         f"degraded {backend}->{next_backend}", self._registry
                     )
@@ -484,31 +474,34 @@ class SupervisedExecutor:
         """One dispatch round on a pool; returns ``(chunk, kind, detail)`` failures."""
         health = self.health
         try:
-            executor, actual = self._executor_factory(
-                backend, max(1, min(self.n_jobs, len(todo)))
-            )
+            executor = self._executor_factory(max(1, min(self.n_jobs, len(todo))))
         except Exception as exc:
-            # e.g. an un-picklable measure on the process rung.
+            # No arena, or a measure that does not pickle.
             return [
                 (k, "backend-unavailable", f"{type(exc).__name__}: {exc}")
                 for k in todo
             ]
-        if actual not in health.backends_used:
-            health.backends_used.append(actual)
+        if backend not in health.backends_used:
+            health.backends_used.append(backend)
 
         failed: list[tuple[int, str, str]] = []
         pool_broke = False
         hung = False
-        # On the process rung the task is wrapped so each result carries
-        # the worker's registry delta and span subtree home; thread and
-        # serial rungs share the parent registry/tracer, so wrapping
-        # there would double-count.
-        task = self.task
-        if actual == "process":
-            task = partial(_task_with_telemetry, self.task)
-        futures = {executor.submit(task, chunks[k]): k for k in todo}
-        remaining = set(futures)
+        # Each result carries the worker's registry delta and span subtree
+        # home; the serial rung shares the parent registry and tracer, so
+        # it runs the bare task.
+        task = partial(_task_with_telemetry, self.task)
+        futures = {}
         try:
+            for k in todo:
+                try:
+                    futures[executor.submit(task, chunks[k])] = k
+                except BrokenProcessPool as exc:
+                    # A worker died while the round was still being
+                    # submitted: the unsubmitted chunks fail with it.
+                    pool_broke = True
+                    failed.append((k, "worker-crash", str(exc) or "BrokenProcessPool"))
+            remaining = set(futures)
             while remaining:
                 wait_timeout = self.chunk_timeout
                 deadline_left = self._remaining()
@@ -564,7 +557,7 @@ class SupervisedExecutor:
                             )
                 remaining = not_done
         finally:
-            self._executor_release(executor, actual, healthy=not (hung or pool_broke))
+            self._executor_release(executor, healthy=not (hung or pool_broke))
         if pool_broke:
             health.worker_crashes += 1
         health.errors += sum(1 for _, kind, _ in failed if kind == "error")
@@ -581,7 +574,7 @@ class SupervisedExecutor:
         health = self.health
         if "serial" not in health.backends_used:
             health.backends_used.append("serial")
-        _init_worker(self.measure, self.gallery, self.queries)
+        _install_state(self.measure, self.gallery, self.queries)
         for pos, k in enumerate(todo):
             if self._deadline_expired():
                 self._shed_remaining(chunks, todo[pos:], results)

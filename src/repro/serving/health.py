@@ -56,9 +56,6 @@ class ServiceHealth:
     events: list[ServiceEvent] = field(default_factory=list)
     #: Metrics snapshot taken when the call finished (None when obs is off).
     metrics: dict | None = None
-    #: SLO burn-rate report (see :class:`repro.obs.slo.SLOTracker`), when
-    #: an SLO tracker annotated this call; None otherwise.
-    slo: dict | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -102,7 +99,6 @@ class ServiceHealth:
                 for e in self.events
             ],
             "metrics": self.metrics,
-            "slo": self.slo,
         }
 
     def summary(self) -> str:

@@ -3,8 +3,9 @@
 The runner scores the committed corpus's ``queries × gallery`` matrix
 through each shipped execution path and compares the results:
 
-* every *production* path (batch, thread/process parallel, shm,
-  persistent pool, anytime-unbounded, cluster 2×2) must be **bitwise**
+* every *production* path (batch, process-parallel over the
+  shared-memory arena, persistent pool, anytime-unbounded, cluster 2×2)
+  must be **bitwise**
   identical to the serial baseline — that is what their docstrings
   promise, and ulp drift of zero is the only acceptable outcome;
 * the *oracle* (:mod:`repro.verify.oracle`) is compared within the
@@ -97,27 +98,13 @@ def _run_batch(corpus: VerificationCorpus) -> np.ndarray:
                                      list(corpus.queries))
 
 
-def _run_parallel_thread(corpus: VerificationCorpus) -> np.ndarray:
-    return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="thread")
-
-
-def _run_parallel_process(corpus: VerificationCorpus) -> np.ndarray:
-    return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="process", shm=False)
-
-
 def _run_shm(corpus: VerificationCorpus) -> np.ndarray:
     return corpus.measure().pairwise(list(corpus.gallery),
-                                     list(corpus.queries),
-                                     n_jobs=2, backend="process", shm=True)
+                                     list(corpus.queries), n_jobs=2)
 
 
 def _run_pool(corpus: VerificationCorpus) -> np.ndarray:
-    with ParallelSTS(corpus.measure(), n_jobs=2, backend="process",
-                     persistent=True) as pool:
+    with ParallelSTS(corpus.measure(), n_jobs=2, persistent=True) as pool:
         return pool.pairwise(list(corpus.gallery), list(corpus.queries))
 
 
@@ -155,12 +142,8 @@ PATHS: Dict[str, PathSpec] = {
         PathSpec("serial", "nested similarity() loop (baseline)",
                  _run_serial),
         PathSpec("batch", "STS.pairwise, single process", _run_batch),
-        PathSpec("parallel-thread", "STS.pairwise n_jobs=2 backend=thread",
-                 _run_parallel_thread),
-        PathSpec("parallel-process", "STS.pairwise n_jobs=2 backend=process",
-                 _run_parallel_process),
-        PathSpec("shm", "process backend with shared-memory gallery",
-                 _run_shm),
+        PathSpec("shm", "STS.pairwise n_jobs=2: process pool over the "
+                 "shared-memory arena", _run_shm),
         PathSpec("pool", "persistent ParallelSTS worker pool", _run_pool),
         PathSpec("anytime", "anytime_similarity with unbounded budget",
                  _run_anytime),

@@ -145,3 +145,22 @@ class SlowMeasure:
     def __getattr__(self, name):
         # grid, noise_model, mode, _transition_factory, stp_cache_size, ...
         return getattr(self.base, name)
+
+
+class AlwaysFails:
+    """Raises on the target pair every single time (a deterministic fault).
+
+    Module-level so it pickles: the process rung really runs it, retries
+    it ``max_retries`` times, and only then degrades to serial.
+    """
+
+    name = "always-fails"
+
+    def __init__(self, base, target=("a", "d")):
+        self.base = base
+        self.target = frozenset(target)
+
+    def similarity(self, tra1, tra2) -> float:
+        if {tra1.object_id, tra2.object_id} == self.target:
+            raise RuntimeError("permanent fault")
+        return self.base.similarity(tra1, tra2)

@@ -3,7 +3,7 @@
 The ownership protocol says the parent owns the segment and unlinks it
 exactly once, no matter how the run ends: clean exit, a worker taken by
 SIGKILL, a hang that forces the supervisor to kill the pool, or a
-degradation off the process rung entirely.  These tests assert the
+degradation off the process rung to serial.  These tests assert the
 protocol's observable consequence — ``/dev/shm`` holds no new ``psm_*``
 segment after the run — and that Python's ``resource_tracker`` agrees
 (no "leaked shared_memory" warning at interpreter shutdown).
@@ -37,11 +37,11 @@ def _segments() -> set[str]:
 
 
 class ProcessAllergicMeasure:
-    """Kills any worker *process* that scores with it; fine in threads.
+    """Kills any worker *process* that scores with it; fine in the driver.
 
     Deterministic degradation driver: every process-pool round dies with
     a SIGKILL-equivalent (``os._exit``), so the supervisor must walk the
-    ladder to the thread rung — where the pid check passes — while the
+    ladder to the serial rung — where the pid check passes — while the
     arena it broadcast for the process rung has to be cleaned up.
     """
 
@@ -62,16 +62,14 @@ class ProcessAllergicMeasure:
 class TestNoLeakedSegments:
     def test_normal_run_leaves_no_segment(self, grid, gallery, clean_serial):
         before = _segments()
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert _segments() <= before
 
     def test_persistent_close_releases_segment(self, grid, gallery, clean_serial):
         before = _segments()
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, persistent=True
-        ) as wrapper:
+        with ParallelSTS(STS(grid), n_jobs=2, persistent=True) as wrapper:
             out = wrapper.pairwise(gallery)
             assert np.array_equal(out, clean_serial)
             assert wrapper._arena is not None  # still broadcast while warm
@@ -84,10 +82,7 @@ class TestNoLeakedSegments:
         faulty = FaultyMeasure(
             STS(grid), "crash", ("a", "c"), tmp_path / "crash.token"
         )
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", shm=True,
-            max_retries=3, backoff_base=0.0,
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, max_retries=3, backoff_base=0.0)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.worker_crashes >= 1
@@ -102,29 +97,27 @@ class TestNoLeakedSegments:
             hang_seconds=60.0,
         )
         wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", shm=True,
-            chunk_timeout=1.5, max_retries=3, backoff_base=0.0,
+            faulty, n_jobs=2, chunk_timeout=1.5, max_retries=3, backoff_base=0.0
         )
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.timeouts >= 1
         assert _segments() <= before
 
-    def test_degradation_to_threads_announces_and_leaves_no_segment(
+    def test_degradation_to_serial_announces_and_leaves_no_segment(
         self, grid, gallery, clean_serial
     ):
         before = _segments()
         wrapper = ParallelSTS(
             ProcessAllergicMeasure(STS(grid)),
-            n_jobs=2, backend="process", shm=True,
-            max_retries=1, backoff_base=0.0,
+            n_jobs=2, max_retries=1, backoff_base=0.0,
         )
-        with pytest.warns(RuntimeWarning, match="falling back to the pickling"):
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
             out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
-        assert any(step.startswith("process->") for step in health.degradations)
-        assert "thread" in health.backends_used
+        assert health.degradations == ["process->serial"]
+        assert health.worker_crashes >= 1
         assert _segments() <= before
 
 
@@ -150,7 +143,7 @@ gallery = [
     ]
 ]
 serial = STS(grid).pairwise(gallery)
-parallel = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+parallel = ParallelSTS(STS(grid), n_jobs=2)
 assert np.array_equal(parallel.pairwise(gallery), serial)
 print("OK")
 """

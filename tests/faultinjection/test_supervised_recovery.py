@@ -13,7 +13,7 @@ import pytest
 from repro.core.sts import STS
 from repro.parallel import ParallelSTS
 
-from .faults import FaultyMeasure
+from .faults import AlwaysFails, FaultyMeasure
 
 
 def _faulty(grid, kind, tmp_path, **kwargs):
@@ -27,9 +27,7 @@ class TestWorkerDeath:
         self, grid, gallery, clean_serial, tmp_path
     ):
         faulty = _faulty(grid, "crash", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="process", max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, max_retries=3, backoff_base=0.0)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
@@ -39,10 +37,64 @@ class TestWorkerDeath:
         assert faulty.token.fired
 
     def test_clean_run_reports_healthy(self, grid, gallery, clean_serial):
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process")
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert wrapper.last_health.ok
+
+
+class _BreaksDuringSubmit:
+    """Executor stand-in whose pool "dies" while a round is submitted."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        future = Future()
+        future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestPoolBrokenDuringSubmit:
+    def test_broken_submit_is_a_worker_crash_not_an_escape(
+        self, grid, gallery, clean_serial
+    ):
+        # A worker can die before the round has finished submitting, and
+        # then submit() itself raises BrokenProcessPool; the supervisor
+        # must count it as a crash and recover like any other.
+        from repro.parallel import SupervisedExecutor
+        from repro.parallel.pool import chunk_pairs
+
+        n = len(gallery)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        supervisor = SupervisedExecutor(
+            STS(grid),
+            gallery,
+            None,
+            n_jobs=2,
+            max_retries=0,
+            backoff_base=0.0,
+            executor_factory=lambda n_workers: _BreaksDuringSubmit(),
+            executor_release=lambda executor, healthy: None,
+        )
+        results = supervisor.run(chunk_pairs(pairs, 2))
+        out = np.zeros((n, n))
+        for triples in results.values():
+            for i, j, score in triples:
+                out[i, j] = out[j, i] = score
+        assert np.array_equal(out, clean_serial)
+        health = supervisor.health
+        assert health.worker_crashes == 1
+        assert health.degradations == ["process->serial"]
 
 
 class TestHang:
@@ -53,7 +105,6 @@ class TestHang:
         wrapper = ParallelSTS(
             faulty,
             n_jobs=2,
-            backend="process",
             chunk_timeout=1.5,
             max_retries=3,
             backoff_base=0.0,
@@ -66,12 +117,9 @@ class TestHang:
 
 
 class TestRaisedError:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_raised_error_is_retried(self, grid, gallery, clean_serial, tmp_path, backend):
+    def test_raised_error_is_retried(self, grid, gallery, clean_serial, tmp_path):
         faulty = _faulty(grid, "raise", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend=backend, max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, max_retries=3, backoff_base=0.0)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         health = wrapper.last_health
@@ -84,9 +132,7 @@ class TestCorruptScore:
         self, grid, gallery, clean_serial, tmp_path
     ):
         faulty = _faulty(grid, "corrupt", tmp_path)
-        wrapper = ParallelSTS(
-            faulty, n_jobs=2, backend="thread", max_retries=3, backoff_base=0.0
-        )
+        wrapper = ParallelSTS(faulty, n_jobs=2, max_retries=3, backoff_base=0.0)
         out = wrapper.pairwise(gallery)
         assert np.array_equal(out, clean_serial)
         assert np.isfinite(out).all()
@@ -99,30 +145,18 @@ class TestDegradationLadder:
     def test_persistent_failure_degrades_and_skip_policy_fills_nan(
         self, grid, gallery, tmp_path
     ):
-        class AlwaysFails:
-            """Raises on the target pair every single time."""
-
-            name = "always-fails"
-
-            def __init__(self, base):
-                self.base = base
-
-            def similarity(self, tra1, tra2):
-                if {tra1.object_id, tra2.object_id} == {"a", "d"}:
-                    raise RuntimeError("permanent fault")
-                return self.base.similarity(tra1, tra2)
-
         wrapper = ParallelSTS(
             AlwaysFails(STS(grid)),
             n_jobs=2,
-            backend="thread",
             max_retries=1,
             backoff_base=0.0,
             on_error="skip",
         )
-        out = wrapper.pairwise(gallery)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            out = wrapper.pairwise(gallery)
         health = wrapper.last_health
-        assert health.degradations == ["thread->serial"]
+        assert health.degradations == ["process->serial"]
+        assert health.backends_used == ["process", "serial"]
         assert health.skipped_pairs >= 1
         # Only the poisoned pair is NaN; everything else was scored.
         assert np.isnan(out[0, 3]) and np.isnan(out[3, 0])
@@ -131,23 +165,13 @@ class TestDegradationLadder:
         assert np.isfinite(out[mask]).all()
 
     def test_persistent_failure_raises_by_default(self, grid, gallery, tmp_path):
-        class AlwaysFails:
-            name = "always-fails"
-
-            def __init__(self, base):
-                self.base = base
-
-            def similarity(self, tra1, tra2):
-                if {tra1.object_id, tra2.object_id} == {"a", "d"}:
-                    raise RuntimeError("permanent fault")
-                return self.base.similarity(tra1, tra2)
-
         wrapper = ParallelSTS(
             AlwaysFails(STS(grid)),
             n_jobs=2,
-            backend="thread",
             max_retries=1,
             backoff_base=0.0,
         )
-        with pytest.raises(RuntimeError, match="permanent fault"):
-            wrapper.pairwise(gallery)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            with pytest.raises(RuntimeError, match="permanent fault"):
+                wrapper.pairwise(gallery)
+        assert wrapper.last_health.degradations == ["process->serial"]

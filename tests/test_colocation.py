@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.colocation import (
+    colocation_batch,
     colocation_probability,
-    colocation_series,
     sparse_inner,
 )
 from repro.core.grid import Grid
@@ -102,7 +102,7 @@ class TestColocationProbability:
         b = Trajectory.from_arrays([3, 7, 11], [10, 10, 10], [1, 5, 9])
         sa, sb = make_stp(a, grid), make_stp(b, grid)
         times = np.array([0.0, 2.0, 5.0])
-        series = colocation_series(sa, sb, times)
+        series = colocation_batch(sa, sb, times)
         for t, v in zip(times, series):
             assert v == pytest.approx(colocation_probability(sa, sb, float(t)))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestParallelMetrics:
         self, fresh_registry, corpus
     ):
         measure = STS(corpus.make_grid())
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(measure, n_jobs=2)
         wrapper.pairwise(corpus.trajectories[:4])
         health = wrapper.last_health
         assert health.metrics is not None
@@ -171,26 +172,23 @@ class TestParallelMetrics:
         assert chunks['event="completed"'] == chunks['event="queued"']
         assert health.metrics["histograms"]["repro_pairwise_seconds"][""]["count"] == 1
 
-    def test_span_tree_nests_across_thread_backend(
+    def test_span_tree_nests_across_process_backend(
         self, fresh_registry, fresh_tracer, corpus
     ):
         measure = STS(corpus.make_grid())
-        wrapper = ParallelSTS(measure, n_jobs=2, backend="thread")
+        wrapper = ParallelSTS(measure, n_jobs=2)
         wrapper.pairwise(corpus.trajectories[:4])
         roots = fresh_tracer.roots()
-        by_name: dict[str, list] = {}
-        for root in roots:
-            by_name.setdefault(root.name, []).append(root)
-        # The orchestrating span runs on the caller's thread...
-        assert len(by_name["parallel.pairwise"]) == 1
-        parent = by_name["parallel.pairwise"][0]
-        assert parent.attrs["backend"] == "thread"
-        # ...and each worker chunk opens its own root on its worker thread.
-        chunk_spans = by_name["parallel.chunk"]
-        assert len(chunk_spans) == parent.attrs["chunks"]
-        assert all(s.wall_s >= 0.0 for s in chunk_spans)
-        worker_tids = {s.tid for s in chunk_spans}
-        assert worker_tids  # recorded per-thread ids
+        # The orchestrating span is the one root of the call...
+        (parent,) = [r for r in roots if r.name == "parallel.pairwise"]
+        # ...and each worker's chunk subtree ships home and is stitched
+        # under it, tagged with the worker's pid.
+        worker_spans = [c for c in parent.children if c.name == "parallel.worker-chunk"]
+        assert len(worker_spans) == parent.attrs["chunks"]
+        assert all(s.attrs["worker_pid"] != os.getpid() for s in worker_spans)
+        assert all(
+            [c.name for c in s.children] == ["parallel.chunk"] for s in worker_spans
+        )
         events = fresh_tracer.to_chrome_trace()
         assert {"parallel.pairwise", "parallel.chunk"} <= {e["name"] for e in events}
         json.dumps(events)

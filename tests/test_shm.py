@@ -3,7 +3,8 @@
 The contract under test: the arena is a pure transport — every score
 computed against a worker's zero-copy views is bitwise identical to the
 serial path — plus the ownership protocol (parent unlinks exactly once,
-views never copy) and the announce-on-fallback guarantee.
+views never copy) and the announce-on-fallback guarantee: when the
+arena or the pool cannot be used, the run degrades to serial, loudly.
 """
 
 import os
@@ -15,12 +16,7 @@ import pytest
 from repro.core.grid import Grid
 from repro.core.sts import STS
 from repro.core.trajectory import Trajectory
-from repro.parallel import (
-    ParallelSTS,
-    SharedTrajectoryArena,
-    chunk_pairs_by_cost,
-    pair_costs,
-)
+from repro.parallel import ParallelSTS, SharedTrajectoryArena
 
 
 @pytest.fixture
@@ -111,19 +107,13 @@ class TestArenaRoundtrip:
 class TestParallelShmParity:
     def test_process_shm_matches_serial_bitwise(self, grid, gallery):
         serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         assert np.array_equal(serial, wrapper.pairwise(gallery))
-
-    def test_cost_chunking_matches_serial_bitwise(self, grid, gallery):
-        serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, chunking="cost"
-        )
-        assert np.array_equal(serial, wrapper.pairwise(gallery))
+        assert wrapper.last_health.backends_used == ["process"]
 
     def test_query_vs_gallery_shape(self, grid, gallery):
         serial = STS(grid).pairwise(gallery[:3], queries=gallery[3:])
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         assert np.array_equal(
             serial, wrapper.pairwise(gallery[:3], queries=gallery[3:])
         )
@@ -133,30 +123,23 @@ class TestParallelShmParity:
         expected = np.array(
             [measure.similarity(gallery[0], g) for g in gallery[1:]]
         )
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         row = wrapper.query(gallery[0], gallery[1:])
         assert np.array_equal(row, expected)
 
     def test_query_cols_subset(self, grid, gallery):
         measure = STS(grid)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         row = wrapper.query(gallery[0], gallery, cols=[2, 0])
         expected = np.array(
             [measure.similarity(gallery[0], gallery[c]) for c in (2, 0)]
         )
         assert np.array_equal(row, expected)
 
-    def test_shm_false_still_matches(self, grid, gallery):
-        serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=False)
-        assert np.array_equal(serial, wrapper.pairwise(gallery))
-
 
 class TestPersistentPool:
     def test_arena_and_pool_reused_across_calls(self, grid, gallery):
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, persistent=True
-        ) as wrapper:
+        with ParallelSTS(STS(grid), n_jobs=2, persistent=True) as wrapper:
             first = wrapper.pairwise(gallery)
             arena_name = wrapper._arena.handle.shm_name
             warm = wrapper._warm["executor"]
@@ -169,9 +152,7 @@ class TestPersistentPool:
     def test_query_after_pairwise_repacks_gallery_only(self, grid, gallery):
         measure = STS(grid)
         expected = np.array([measure.similarity(gallery[0], g) for g in gallery])
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, persistent=True
-        ) as wrapper:
+        with ParallelSTS(STS(grid), n_jobs=2, persistent=True) as wrapper:
             wrapper.pairwise(gallery[:3], queries=gallery[3:])
             row1 = wrapper.query(gallery[0], gallery)
             name = wrapper._arena.handle.shm_name
@@ -181,9 +162,7 @@ class TestPersistentPool:
         assert np.array_equal(row2, expected)
 
     def test_new_gallery_repacks(self, grid, gallery):
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=True, persistent=True
-        ) as wrapper:
+        with ParallelSTS(STS(grid), n_jobs=2, persistent=True) as wrapper:
             wrapper.pairwise(gallery)
             name = wrapper._arena.handle.shm_name
             other = [gallery[0], gallery[2]]
@@ -191,82 +170,27 @@ class TestPersistentPool:
             assert wrapper._arena.handle.shm_name != name
         assert np.array_equal(out, STS(grid).pairwise(other))
 
-    def test_new_gallery_invalidates_warm_pool_without_arena(self, grid, gallery):
-        # With shm=False the warm-pool key has shm_name None on both
-        # sides; reuse must still be refused for a different gallery, or
-        # the warm workers would score the *old* corpus at the new
-        # indices.  Regression test for collection-identity keying.
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=False, persistent=True
-        ) as wrapper:
-            wrapper.pairwise(gallery)
+    def test_new_gallery_invalidates_warm_pool(self, grid, gallery):
+        # A different gallery (same length, other objects) must not reuse
+        # the warm workers, or they would score the *old* corpus at the
+        # new indices.  The arena's identity check drives the refusal.
+        with ParallelSTS(STS(grid), n_jobs=2, persistent=True) as wrapper:
+            wrapper.pairwise(gallery[:2])
             warm = wrapper._warm["executor"]
             other = [gallery[3], gallery[1]]
             out = wrapper.pairwise(other)
             assert wrapper._warm["executor"] is not warm
         assert np.array_equal(out, STS(grid).pairwise(other))
 
-    def test_new_gallery_invalidates_warm_pool_thread_backend(self, grid, gallery):
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="thread", persistent=True
-        ) as wrapper:
-            wrapper.pairwise(gallery)
-            other = [gallery[3], gallery[1]]
-            out = wrapper.pairwise(other)
-        assert np.array_equal(out, STS(grid).pairwise(other))
-
-    def test_same_gallery_reuses_warm_pool_without_arena(self, grid, gallery):
-        # The flip side: identity keying must not *break* warm reuse when
-        # the collections genuinely are the same objects.
-        with ParallelSTS(
-            STS(grid), n_jobs=2, backend="process", shm=False, persistent=True
-        ) as wrapper:
-            first = wrapper.pairwise(gallery)
-            warm = wrapper._warm["executor"]
-            second = wrapper.pairwise(gallery)
-            assert wrapper._warm["executor"] is warm
-        assert np.array_equal(first, second)
-
     def test_no_arena_packed_for_single_worker(self, grid, gallery):
-        # n_jobs=1 runs on the serial rung even when a checkpoint forces
+        # n_jobs=1 runs on the serial rung even when a deadline forces
         # the supervised path; packing an arena there would be pure
         # waste, never attached by anyone.
-        wrapper = ParallelSTS(STS(grid), n_jobs=1, backend="process", shm=True)
-        assert not wrapper._shm_wanted()
+        wrapper = ParallelSTS(STS(grid), n_jobs=1)
         out = wrapper.pairwise(gallery, deadline=60.0)
         assert wrapper._arena is None
+        assert wrapper.last_health.backends_used == ["serial"]
         assert np.array_equal(out, STS(grid).pairwise(gallery))
-
-
-class TestCostChunking:
-    def test_partition_without_loss_or_duplication(self):
-        pairs = [(i, j) for i in range(7) for j in range(i, 7)]
-        lengths = [5 * (i + 1) for i in range(7)]
-        costs = pair_costs(pairs, lengths, lengths)
-        chunks = chunk_pairs_by_cost(pairs, costs, n_workers=3)
-        flat = [p for chunk in chunks for p in chunk]
-        assert sorted(flat) == sorted(pairs)
-        assert len(flat) == len(set(flat))
-
-    def test_balances_skewed_costs(self):
-        # One giant pair plus many tiny ones: count-chunking would put
-        # several tiny pairs alongside the giant; cost-chunking gives the
-        # giant its own chunk (2 chunks requested via 1 worker x 2).
-        pairs = [(0, j) for j in range(9)]
-        costs = [1000] + [1] * 8
-        chunks = chunk_pairs_by_cost(pairs, costs, n_workers=1, chunks_per_worker=2)
-        totals = sorted(sum(costs[pairs.index(p)] for p in c) for c in chunks)
-        assert totals == [8, 1000]
-
-    def test_deterministic(self):
-        pairs = [(i, j) for i in range(6) for j in range(i, 6)]
-        costs = pair_costs(pairs, [3, 1, 4, 1, 5, 9], [3, 1, 4, 1, 5, 9])
-        assert chunk_pairs_by_cost(pairs, costs, 4) == chunk_pairs_by_cost(
-            pairs, costs, 4
-        )
-
-    def test_empty(self):
-        assert chunk_pairs_by_cost([], [], 4) == []
 
 
 class TestFallbackAnnouncement:
@@ -280,43 +204,52 @@ class TestFallbackAnnouncement:
             transition=lambda t: SpeedTransitionModel(GaussianSpeedModel(1.0, 0.3)),
         )
         registry = MetricsRegistry()
-        wrapper = ParallelSTS(
-            measure, n_jobs=2, backend="auto", shm=True, registry=registry
-        )
-        with pytest.warns(RuntimeWarning, match="falling back to the pickling"):
+        wrapper = ParallelSTS(measure, n_jobs=2, registry=registry)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
             out = wrapper.pairwise(gallery)
         expected = np.array(
             [[measure.similarity(a, b) for b in gallery] for a in gallery]
         )
-        assert np.allclose(out, expected)
+        assert np.array_equal(out, expected)
         snapshot = registry.snapshot()
         fallback = snapshot["counters"]["repro_parallel_shm_fallback_total"]
         assert sum(fallback.values()) >= 1
 
-    def test_shm_false_never_warns(self, grid, gallery):
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="thread", shm=False)
+    def test_pack_failure_degrades_to_serial(self, grid, gallery, monkeypatch):
+        from repro.obs.registry import MetricsRegistry
+
+        def no_shm(*args, **kwargs):
+            raise OSError("no /dev/shm on this platform")
+
+        monkeypatch.setattr(SharedTrajectoryArena, "pack", no_shm)
+        serial = STS(grid).pairwise(gallery)
+        registry = MetricsRegistry()
+        wrapper = ParallelSTS(STS(grid), n_jobs=2, registry=registry)
+        with pytest.warns(RuntimeWarning, match="arena pack failed"):
+            out = wrapper.pairwise(gallery)
+        assert out.tobytes() == serial.tobytes()
+        health = wrapper.last_health
+        assert health.degradations == ["process->serial"]
+        assert health.backends_used == ["serial"]
+        fallback = registry.snapshot()["counters"]["repro_parallel_shm_fallback_total"]
+        assert sum(fallback.values()) == 1
+
+    def test_healthy_run_never_warns(self, grid, gallery):
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             wrapper.pairwise(gallery)
+        assert wrapper.last_health.ok
 
 
 class TestCheckpointFingerprint:
-    def test_chunking_policy_is_part_of_the_fingerprint(self, grid, gallery):
-        count = ParallelSTS(STS(grid), n_jobs=2, chunking="count")
-        cost = ParallelSTS(STS(grid), n_jobs=2, chunking="cost")
-        fp_count = count._fingerprint(4, 4, 10, 8, True)
-        fp_cost = cost._fingerprint(4, 4, 10, 8, True)
-        assert fp_count != fp_cost
-        assert fp_count["chunking"] == "count"
-        assert fp_cost["chunking"] == "cost"
-
     def test_checkpoint_resume_still_works_with_shm(self, grid, gallery, tmp_path):
         path = str(tmp_path / "pairwise.ckpt")
         serial = STS(grid).pairwise(gallery)
-        wrapper = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        wrapper = ParallelSTS(STS(grid), n_jobs=2)
         first = wrapper.pairwise(gallery, checkpoint=path)
         assert os.path.exists(path)
-        resumed = ParallelSTS(STS(grid), n_jobs=2, backend="process", shm=True)
+        resumed = ParallelSTS(STS(grid), n_jobs=2)
         second = resumed.pairwise(gallery, checkpoint=path)
         assert resumed.last_health.resumed_chunks == resumed.last_health.n_chunks
         assert np.array_equal(first, serial)
@@ -325,22 +258,8 @@ class TestCheckpointFingerprint:
 
 class TestDefaults:
     def test_invalid_values_rejected(self, grid):
-        with pytest.raises(ValueError, match="chunking"):
-            ParallelSTS(STS(grid), chunking="weighted")
-        with pytest.raises(ValueError, match="shm"):
-            ParallelSTS(STS(grid), shm="yes")
-
-    def test_process_wide_defaults_resolve(self, grid):
-        from repro.parallel import get_parallel_defaults, set_parallel_defaults
-
-        before = get_parallel_defaults()
-        try:
-            set_parallel_defaults(shm=False, chunking="cost")
-            wrapper = ParallelSTS(STS(grid), n_jobs=2)
-            assert wrapper.shm is False
-            assert wrapper.chunking == "cost"
-            explicit = ParallelSTS(STS(grid), n_jobs=2, shm=True, chunking="count")
-            assert explicit.shm is True
-            assert explicit.chunking == "count"
-        finally:
-            set_parallel_defaults(**before)
+        # The transport and chunking switches are gone, not ignored.
+        with pytest.raises(TypeError, match="chunking"):
+            ParallelSTS(STS(grid), chunking="count")
+        with pytest.raises(TypeError, match="shm"):
+            ParallelSTS(STS(grid), shm=True)
